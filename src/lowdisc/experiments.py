@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import GenMatrix, fixedpoint_sqrt
-from .discrepancy import AUTO_EXACT_CAP, DEFAULT_WORK_BUDGET, DiscrepancyResult, compute_discrepancy
+from .discrepancy import DEFAULT_WORK_BUDGET, DiscrepancyResult, compute_discrepancy
 from .errors import BudgetError, LowdiscError, ValidationError
 from .generators import (
     Digital,
@@ -438,7 +438,3 @@ def preset(
     if bracket_k is not None:
         plan = replace(plan, bracket_k=bracket_k)
     return plan
-
-
-# re-exported so callers can budget auto decisions the same way compute does
-AUTO_CAP = AUTO_EXACT_CAP

@@ -281,13 +281,14 @@ def spec_to_string(spec: SequenceSpec) -> str:
 
 def format_coordinate(value: Fraction, decimal: int | None) -> str:
     """Render a coordinate as ``p/q`` or as a decimal with ``decimal`` digits
-    after the point (round half up)."""
+    after the point, rounded down (floor), so a value in [0, 1) never prints
+    as ``1.0...`` and a ``gen --decimal`` file reads back."""
     if decimal is None:
         return str(value)
     if decimal < 1:
         raise ValidationError("decimal digit count must be >= 1")
     scale = 10**decimal
-    scaled = (value.numerator * scale * 2 + value.denominator) // (2 * value.denominator)
+    scaled = value.numerator * scale // value.denominator
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
     return f"{sign}{scaled // scale}.{scaled % scale:0{decimal}d}"

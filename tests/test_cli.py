@@ -34,6 +34,17 @@ def test_gen_accepts_spec_file_and_decimal(tmp_path):
     assert "0.5000" in out and "format=dec4" in out
 
 
+def test_gen_decimal_file_reads_back_in_disc(tmp_path):
+    # coordinates in [0.995, 1) must not be written as 1.00
+    pts = tmp_path / "p.tsv"
+    spec = "kronecker:width=128,alphas=sqrt2"
+    gen = ("gen", "--spec", spec, "--count", "2000", "--decimal", "2", "--out", str(pts))
+    assert run_cli(*gen)[0] == 0
+    code, out, err = run_cli("disc", "--in", str(pts))
+    assert code == 0, err
+    assert json.loads(out)["N"] == 2000
+
+
 def test_gen_disc_pipeline_matches_library(tmp_path):
     from lowdisc.discrepancy import star_disc_2d_sweep
     from lowdisc.generators import Halton, stream

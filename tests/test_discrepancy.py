@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -27,6 +29,18 @@ def rand_rows(rng: random.Random, n: int, d: int, dens=(3, 4, 5, 8, 16)):
         tuple(Fraction(rng.randrange(0, den), den) for den in (rng.choice(dens) for _ in range(d)))
         for _ in range(n)
     ]
+
+
+def lattice_max(rows, k: int) -> Fraction:
+    """Maximum of the discrepancy function over the corners {0..k}^d / k."""
+    n = len(rows)
+    best = Fraction(0)
+    for corner in itertools.product([Fraction(i, k) for i in range(k + 1)], repeat=len(rows[0])):
+        vol = math.prod(corner)
+        a_lt = sum(all(x < b for x, b in zip(p, corner)) for p in rows)
+        a_le = sum(all(x <= b for x, b in zip(p, corner)) for p in rows)
+        best = max(best, vol - Fraction(a_lt, n), Fraction(a_le, n) - vol)
+    return best
 
 
 # -- 1D formulas ---------------------------------------------------------------
@@ -113,6 +127,28 @@ def test_star_algorithms_agree_with_oracle_randomized():
     for _ in range(20):
         rows = rand_rows(rng, rng.randrange(1, 7), 3)
         assert star_disc_exact(rows).value == brute_force_oracle(rows, "star")
+    # Coordinates 2^-80 apart share one double, so only the exact recheck
+    # tells their corners apart.  On the first two sets neither the first
+    # float maximum nor the cells tied with it in floats hold the true maximum.
+    t = Fraction(1, 2**80)
+    f = Fraction
+    near_ties = [
+        [(f(5, 6) - t, f(3, 5) - t), (f(1, 2) + 2 * t, f(4, 5) - t),
+         (f(0), f(1, 3) + t), (f(7, 10) + 2 * t, f(1, 3))],
+        [(f(4, 5) - t, f(1, 7) - t, f(1, 2) - t), (f(1, 3) + 2 * t, f(5, 6) - 2 * t, f(0))],
+    ]
+    for d in (2, 3):
+        for _ in range(30):
+            rows = rand_rows(rng, rng.randrange(1, 9 if d == 2 else 7), d)
+            shifted = [tuple(x + rng.randrange(-2, 3) * t if x else x for x in row) for row in rows]
+            near_ties.append(shifted)
+    for rows in near_ties:
+        want = brute_force_oracle(rows, "star")
+        assert star_disc_exact(rows).value == want
+        if len(rows[0]) == 2:
+            assert star_disc_2d_sweep(rows).value == want
+        for k in (2, 3, 5, 8) if len(rows[0]) == 2 else (3,):
+            assert star_disc_bracket(rows, k).lo == lattice_max(rows, k)
 
 
 def test_extreme_grid_agrees_with_oracle_randomized():
