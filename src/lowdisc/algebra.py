@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
+
 from .errors import PrecisionError, TruncationError, ValidationError
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "digits_of",
     "fixedpoint_sqrt",
     "golden_ratio_frac",
+    "int_array",
     "is_prime",
     "laurent_frac_eval",
     "laurent_mul_poly",
@@ -81,6 +84,20 @@ def digits_of(n: int, q: int) -> tuple[int, ...]:
         n, r = divmod(n, q)
         out.append(r)
     return tuple(out)
+
+
+def int_array(values, bound: int) -> np.ndarray:
+    """A 1D or 2D integer array of ``values`` that stays exact below ``bound``.
+
+    ``bound`` must exceed the magnitude of every value and of every result
+    the caller computes from them: the array is int64 when ``bound <= 2^63``
+    and holds Python ints (dtype object) otherwise.
+    """
+    if bound > 1 << 63:
+        return np.asarray(values, dtype=object)
+    if isinstance(values, range):
+        return np.arange(values.start, values.stop, values.step, dtype=np.int64)
+    return np.asarray(values, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +253,6 @@ class GenMatrix:
         self._last_nonzero_fn = last_nonzero_fn
         self._max_rows = max_rows
         self._max_cols = max_cols
-        self._prefix_cache: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GenMatrix(q={self.q}, label={self.label!r})"
@@ -261,13 +277,8 @@ class GenMatrix:
         return v
 
     def row_prefix(self, r: int, m: int) -> tuple[int, ...]:
-        """First ``m`` entries of row ``r``; deterministic and cached."""
-        key = (r, m)
-        hit = self._prefix_cache.get(key)
-        if hit is None:
-            hit = tuple(self.entry(r, c) for c in range(m))
-            self._prefix_cache[key] = hit
-        return hit
+        """First ``m`` entries of row ``r``; deterministic."""
+        return tuple(self.entry(r, c) for c in range(m))
 
     def last_nonzero_col(self, r: int) -> int:
         if not self.finite_rows:

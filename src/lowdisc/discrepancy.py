@@ -29,7 +29,9 @@ and :func:`star_disc_bracket` differ only in the corner grid they hand it.
   from the exact corner values and int64 counts.  Floats prune; no
   floating point decides a maximum.
 
-The 1D kinds use exact closed forms, and the extreme kind in d >= 2
+Every algorithm reads integer columns over per-axis scales (a
+:class:`~lowdisc.generators.PointSet` hands over its own).  The 1D kinds use
+exact closed forms on the sorted numerators, and the extreme kind in d >= 2
 enumerates corner pairs in integer arithmetic.
 
 Results say what they certify: ``exact`` for exact-rational inputs,
@@ -49,8 +51,9 @@ from functools import reduce
 
 import numpy as np
 
+from .algebra import int_array
 from .errors import BudgetError, ValidationError
-from .generators import PointSet
+from .generators import Columns, PointSet
 
 __all__ = [
     "DiscrepancyResult",
@@ -131,18 +134,29 @@ class DiscrepancyResult:
 
 
 # ---------------------------------------------------------------------------
-# Input normalization and scaling
+# Input normalization
 # ---------------------------------------------------------------------------
 
 
-def _normalize(points) -> tuple[list[tuple[Fraction, ...]], str]:
+def _normalize(points) -> tuple[tuple, tuple[int, ...], str]:
+    """Integer columns, per-axis scales and the certification mode of the
+    input: coordinate j of point i is ``columns[j][i] / scales[j]``.
+
+    A :class:`PointSet` hands over its columns after a range check; other
+    inputs are rows of anything ``Fraction`` accepts, each axis scaled by the
+    lcm of its denominators.
+    """
     if isinstance(points, PointSet):
-        rows = points.rows()
+        if points.count == 0:
+            raise ValidationError("empty point set")
+        for col, scale in zip(points.columns, points.scales):
+            lo, hi = int(col.min()), int(col.max())
+            if lo < 0 or hi >= scale:
+                raise ValidationError(f"coordinate {Fraction(lo if lo < 0 else hi, scale)} outside [0, 1)")
         tag = points.tag
         mode = "exact" if tag.kind == "exact" and not tag.coerced else "exact-represented"
-    else:
-        rows = [tuple(Fraction(c) for c in row) for row in points]
-        mode = "exact"
+        return points.columns, points.scales, mode
+    rows = [tuple(Fraction(c) for c in row) for row in points]
     if not rows:
         raise ValidationError("empty point set")
     d = len(rows[0])
@@ -152,16 +166,8 @@ def _normalize(points) -> tuple[list[tuple[Fraction, ...]], str]:
         for c in r:
             if not 0 <= c < 1:
                 raise ValidationError(f"coordinate {c} outside [0, 1)")
-    return rows, mode
-
-
-def _scale_axes(rows) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Scale each axis by the lcm of its denominators; returns integer rows
-    and the per-axis scales."""
-    d = len(rows[0])
-    scales = [math.lcm(*(r[j].denominator for r in rows)) for j in range(d)]
-    scaled = [tuple((r[j].numerator * scales[j]) // r[j].denominator for j in range(d)) for r in rows]
-    return scaled, scales
+    batch = Columns.from_rows(rows, d)
+    return batch.columns, batch.scales, "exact"
 
 
 # ---------------------------------------------------------------------------
@@ -169,28 +175,32 @@ def _scale_axes(rows) -> tuple[list[tuple[int, ...]], list[int]]:
 # ---------------------------------------------------------------------------
 
 
+def _sorted_1d(points, name: str) -> tuple[list[int], int, str]:
+    columns, scales, mode = _normalize(points)
+    if len(columns) != 1:
+        raise ValidationError(f"{name} needs one-dimensional points")
+    return np.sort(columns[0]).tolist(), scales[0], mode
+
+
 def star_disc_1d(points) -> DiscrepancyResult:
-    """Exact star discrepancy in dimension 1:
-    ``1/(2N) + max_i |x_(i) - (2i-1)/(2N)|``."""
-    rows, mode = _normalize(points)
-    if len(rows[0]) != 1:
-        raise ValidationError("star_disc_1d needs one-dimensional points")
-    xs = sorted(r[0] for r in rows)
+    """Exact star discrepancy in dimension 1,
+    ``1/(2N) + max_i |x_(i) - (2i-1)/(2N)|``, in integers: with sorted
+    numerators a_i over the scale S it is
+    ``(S + max_i |2N a_i - (2i-1) S|) / (2NS)``."""
+    xs, s, mode = _sorted_1d(points, "star_disc_1d")
     n = len(xs)
-    best = max(abs(x - Fraction(2 * i - 1, 2 * n)) for i, x in enumerate(xs, start=1))
-    return DiscrepancyResult("star", mode, n, 1, value=Fraction(1, 2 * n) + best)
+    best = max(abs(2 * n * a - (2 * i - 1) * s) for i, a in enumerate(xs, start=1))
+    return DiscrepancyResult("star", mode, n, 1, value=Fraction(s + best, 2 * n * s))
 
 
 def extreme_disc_1d(points) -> DiscrepancyResult:
-    """Exact extreme discrepancy in dimension 1:
-    ``1/N + max_i (i/N - x_(i)) - min_i (i/N - x_(i))``."""
-    rows, mode = _normalize(points)
-    if len(rows[0]) != 1:
-        raise ValidationError("extreme_disc_1d needs one-dimensional points")
-    xs = sorted(r[0] for r in rows)
+    """Exact extreme discrepancy in dimension 1,
+    ``1/N + max_i (i/N - x_(i)) - min_i (i/N - x_(i))``, in integers:
+    ``(S + max_i (iS - N a_i) - min_i (iS - N a_i)) / (NS)``."""
+    xs, s, mode = _sorted_1d(points, "extreme_disc_1d")
     n = len(xs)
-    diffs = [Fraction(i, n) - x for i, x in enumerate(xs, start=1)]
-    return DiscrepancyResult("extreme", mode, n, 1, value=Fraction(1, n) + max(diffs) - min(diffs))
+    diffs = [i * s - n * a for i, a in enumerate(xs, start=1)]
+    return DiscrepancyResult("extreme", mode, n, 1, value=Fraction(s + max(diffs) - min(diffs), n * s))
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +299,15 @@ def _star_kernel(corners, scales, closed, open_) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _star_exact(rows) -> Fraction:
-    """Corners are each axis's distinct scaled values plus the scale; a
-    point's open index is its closed index plus one."""
-    scaled, scales = _scale_axes(rows)
+def _critical_grid(columns, scales) -> tuple[list[list[int]], np.ndarray]:
+    """Corners are each axis's distinct values plus the scale; a point's
+    closed index is its rank among them (its open index is that plus one)."""
     corners, closed = [], []
-    for j, scale in enumerate(scales):
-        col = [r[j] for r in scaled]
-        corners.append(sorted(set(col) | {scale}))
-        rank = {v: i for i, v in enumerate(corners[-1])}
-        closed.append([rank[v] for v in col])
-    closed = np.array(closed, dtype=np.int64).T
-    return _star_kernel(corners, scales, closed, closed + 1)
+    for col, scale in zip(columns, scales):
+        values, rank = np.unique(col, return_inverse=True)
+        corners.append(values.tolist() + [scale])
+        closed.append(rank)
+    return corners, np.stack(closed, axis=1).astype(np.int64)
 
 
 def star_disc_exact(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> DiscrepancyResult:
@@ -310,27 +317,30 @@ def star_disc_exact(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> Discre
     each corner is evaluated with strict and closed counting.  The budgeted
     work is corners * N * d and is rejected beyond ``work_budget``.
     """
-    rows, mode = _normalize(points)
-    n, d = len(rows), len(rows[0])
-    corners = math.prod(len({r[j] for r in rows} | {1}) for j in range(d))
-    if corners * n * d > work_budget:
+    columns, scales, mode = _normalize(points)
+    n, d = len(columns[0]), len(columns)
+    corners, closed = _critical_grid(columns, scales)
+    count = math.prod(len(c) for c in corners)
+    if count * n * d > work_budget:
         raise BudgetError(
-            f"critical grid needs {corners * n * d} point-coordinate checks, "
+            f"critical grid needs {count * n * d} point-coordinate checks, "
             f"beyond the budget of {work_budget}"
         )
-    return DiscrepancyResult("star", mode, n, d, value=_star_exact(rows))
+    value = _star_kernel(corners, scales, closed, closed + 1)
+    return DiscrepancyResult("star", mode, n, d, value=value)
 
 
 def star_disc_2d_sweep(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> DiscrepancyResult:
     """Exact 2D star discrepancy, budgeted at N^2 steps.  Same kernel and
     value as :func:`star_disc_exact`."""
-    rows, mode = _normalize(points)
-    if len(rows[0]) != 2:
+    columns, scales, mode = _normalize(points)
+    if len(columns) != 2:
         raise ValidationError("star_disc_2d_sweep needs two-dimensional points")
-    n = len(rows)
+    n = len(columns[0])
     if n * n > work_budget:
         raise BudgetError(f"sweep needs ~{n * n} steps, beyond the budget of {work_budget}")
-    return DiscrepancyResult("star", mode, n, 2, value=_star_exact(rows))
+    corners, closed = _critical_grid(columns, scales)
+    return DiscrepancyResult("star", mode, n, 2, value=_star_kernel(corners, scales, closed, closed + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +354,12 @@ def extreme_disc_grid(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> Disc
     The candidate grid is squared relative to the star case, so this is only
     affordable for small sets; the work bound is pairs * N * d.
     """
-    rows, mode = _normalize(points)
-    n, d = len(rows), len(rows[0])
-    scaled, scales = _scale_axes(rows)
+    columns, scales, mode = _normalize(points)
+    n, d = len(columns[0]), len(columns)
+    scaled = list(zip(*(c.tolist() for c in columns)))
     axis_pairs = []
     for j in range(d):
-        uniq = sorted(set(r[j] for r in scaled))
+        uniq = np.unique(columns[j]).tolist()
         lowers = sorted(set(uniq) | {0})
         uppers = sorted(set(uniq) | {scales[j]})
         axis_pairs.append([(lo, up) for lo in lowers for up in uppers if lo <= up])
@@ -394,18 +404,22 @@ def star_disc_bracket(points, k: int, *, max_cells: int = 2**26) -> DiscrepancyR
     The volume is 1-Lipschitz per coordinate and the counts are monotone, so
     the true supremum exceeds the lattice maximum by at most d/k.
     """
-    rows, mode = _normalize(points)
-    del mode  # brackets certify an interval; representation noted by callers
+    columns, scales, _ = _normalize(points)  # brackets certify an interval; callers note the representation
     if k < 2:
         raise ValidationError("bracket resolution must be >= 2")
-    n, d = len(rows), len(rows[0])
+    n, d = len(columns[0]), len(columns)
     cells = (k + 1) ** d
     if cells > max_cells:
         raise BudgetError(f"bracket lattice has {cells} cells, beyond the cap of {max_cells}")
     # corner i/k holds x in its closed box iff ceil(xk) <= i, in its open box iff floor(xk) < i
-    steps = (divmod(c.numerator * k, c.denominator) for row in rows for c in row)
-    floor_ceil = np.array([(q, q + (r > 0)) for q, r in steps], dtype=np.int64).reshape(n, d, 2)
-    lo = _star_kernel([range(k + 1)] * d, [k] * d, floor_ceil[..., 1], floor_ceil[..., 0] + 1)
+    floor, ceil = [], []
+    for col, scale in zip(columns, scales):
+        xk = int_array(col, scale * k) * k
+        q = xk // scale
+        floor.append(q)
+        ceil.append(q + (q * scale != xk))
+    floor, ceil = (np.stack(v, axis=1).astype(np.int64) for v in (floor, ceil))
+    lo = _star_kernel([range(k + 1)] * d, [k] * d, ceil, floor + 1)
     hi = min(lo + Fraction(d, k), Fraction(1))
     return DiscrepancyResult("star", "bracketed", n, d, lo=lo, hi=hi, resolution=k)
 
@@ -424,7 +438,9 @@ def brute_force_oracle(points, kind: str = "star") -> Fraction:
     which provably attains the supremum for half-open boxes.  Pure Fraction
     arithmetic, no shared machinery with the production algorithms.
     """
-    rows, _ = _normalize(points)
+    rows = points.rows() if isinstance(points, PointSet) else [tuple(map(Fraction, r)) for r in points]
+    if not rows or any(len(r) != len(rows[0]) or not all(0 <= c < 1 for c in r) for r in rows):
+        raise ValidationError("oracle needs a nonempty set of points in [0, 1)^d")
     n, d = len(rows), len(rows[0])
     if n > 8 or d > 3:
         raise ValidationError(f"oracle size-rejected: N={n}, d={d} beyond N<=8, d<=3")

@@ -28,6 +28,7 @@ from .generators import (
     Hybrid,
     Kronecker,
     Lattice,
+    PointSet,
     PowerRatio,
     SequenceSpec,
     lattice_point_set,
@@ -110,21 +111,36 @@ def _resize(spec: SequenceSpec, n: int) -> SequenceSpec:
     if isinstance(spec, Hammersley):
         return Hammersley(n, spec.bases)
     if isinstance(spec, Hybrid):
-        return Hybrid(_resize(spec.left, n), _resize(spec.right, n))
+        left, right = _resize(spec.left, n), _resize(spec.right, n)
+        return spec if left is spec.left and right is spec.right else Hybrid(left, right)
     if isinstance(spec, DigitSumFiltered):
-        return DigitSumFiltered(_resize(spec.inner, n))
+        inner = _resize(spec.inner, n)
+        return spec if inner is spec.inner else DigitSumFiltered(inner)
     return spec
+
+
+def _prefix(plan: ExperimentPlan) -> PointSet | None:
+    """The first max(schedule) points of an infinite family, which serve
+    every row; None for finite families, or when generating them fails (each
+    row then generates its own points and reports its own failure)."""
+    n = plan.schedule[-1]
+    if _resize(plan.spec, n) is not plan.spec:
+        return None
+    try:
+        return stream(plan.spec, 0, n)
+    except LowdiscError:
+        return None
 
 
 def run_scaling(plan: ExperimentPlan, *, work_budget: int = DEFAULT_WORK_BUDGET) -> list[ScalingRow]:
     """One row per schedule entry: the discrepancy of the first N points and
     the normalized column N * D / (ln N)^p.  Per-row failures are recorded
     on the row and the run continues."""
+    prefix = _prefix(plan)
     rows: list[ScalingRow] = []
     for n in plan.schedule:
         try:
-            spec_n = _resize(plan.spec, n)
-            points = stream(spec_n, 0, n)
+            points = stream(_resize(plan.spec, n), 0, n) if prefix is None else prefix.head(n)
             result = compute_discrepancy(
                 points, kind=plan.kind, algo=plan.algo, k=plan.bracket_k, work_budget=work_budget
             )

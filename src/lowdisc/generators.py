@@ -2,32 +2,40 @@
 
 Every family is described by an immutable spec object (the configuration
 currency of the whole package: the CLI, the experiment harness, and the
-emission format all speak specs).  A spec knows its dimension and produces
-the point at index n; :func:`stream` materializes an index range.  Index
-origin is n = 0 for every family.
+emission format all speak specs).  A spec knows its dimension and generates
+points in batches: ``spec.batch(indices)`` returns :class:`Columns`, one
+integer numerator array per axis over a denominator known from the spec
+(2^W for Kronecker, q^L for digital, b^k for Halton with k the digit count
+of the last index, N for lattice and Hammersley sets).  :func:`stream`
+materializes an index range as a :class:`PointSet` of such columns, and
+``spec.point(n)`` is row 0 of the batch ``(n,)``.  Index origin is n = 0
+for every family.
 
-Coordinates come in two representations and never mix inside one point:
+Coordinates come in two representations and never mix inside one point set:
 
-* exact rationals (`fractions.Fraction`) for Halton, digital, lattice,
-  rational-function, and power-ratio constructions;
-* fixed-point fractional parts (:class:`~lowdisc.algebra.FixedPointReal`)
-  for Kronecker-type constructions.
+* exact rationals for Halton, digital, lattice, rational-function, and
+  power-ratio constructions (:class:`UnitPoint` views carry `Fraction`s);
+* fixed-point fractional parts over 2^W for Kronecker-type constructions
+  (views carry :class:`~lowdisc.algebra.FixedPointReal`).
 
 A hybrid whose halves disagree coerces the exact side into the fixed-point
 width of the other side (never the reverse) and records the coercion in the
-point's representation tag, so a hybrid point set has one uniform error
-budget.
+representation tag, so a hybrid point set has one uniform error budget.
 
-All point functions are pure in (spec, n): disjoint index ranges may be
-evaluated concurrently and concatenate to the same result as one sequential
-pass.
+All points are pure functions of (spec, n): disjoint index ranges may be
+generated concurrently and concatenate to the same result as one sequential
+pass.  A batch that fails raises what its first failing index raises alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from itertools import repeat
+from math import gcd, lcm
+from typing import NamedTuple
+
+import numpy as np
 
 from .algebra import (
     FixedPointReal,
@@ -35,16 +43,17 @@ from .algebra import (
     LaurentSeries,
     check_index_budget,
     digits_of,
+    int_array,
     laurent_frac_eval,
     laurent_mul_poly,
-    mat_vec_mod_q,
     poly_deg,
     poly_gcd,
     poly_trim,
 )
-from .errors import ValidationError
+from .errors import LowdiscError, ValidationError
 
 __all__ = [
+    "Columns",
     "Digital",
     "DigitSumFiltered",
     "DigitalKronecker",
@@ -136,35 +145,84 @@ class UnitPoint:
         return tuple(c.frac_value for c in self.coords)
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """An ordered run of points sharing dimension and representation."""
+class Columns(NamedTuple):
+    """A batch of points, one integer array per axis.
 
-    points: tuple[UnitPoint, ...]
+    Coordinate j of point i is ``columns[j][i] / scales[j]``.  An array is
+    int64, or holds Python ints where int64 arithmetic could overflow.
+    Fixed-point batches also carry ``exact[j][i]``, whether that coordinate
+    is error-free.
+    """
+
+    columns: tuple
+    scales: tuple[int, ...]
+    tag: ReprTag
+    exact: tuple = ()
+
+    @classmethod
+    def from_rows(cls, rows, dim: int) -> "Columns":
+        """Exact columns of Fraction rows, each axis over the lcm of its
+        denominators."""
+        scales = tuple(lcm(*(r[j].denominator for r in rows)) for j in range(dim))
+        columns = tuple(
+            int_array([r[j].numerator * (s // r[j].denominator) for r in rows], s)
+            for j, s in enumerate(scales)
+        )
+        return cls(columns, scales, EXACT)
+
+
+@dataclass(frozen=True, eq=False)
+class PointSet:
+    """An ordered run of points sharing dimension and representation, held
+    as :class:`Columns`; ``points`` and ``rows()`` are per-point views built
+    on demand."""
+
     spec: "SequenceSpec"
     start: int
     count: int
+    columns: tuple
+    scales: tuple[int, ...]
+    tag: ReprTag
+    exact: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.count != len(self.points):
-            raise ValidationError("count does not match the number of points")
-        if self.points:
-            d = self.points[0].dim
-            tag = self.points[0].tag
-            for p in self.points:
-                if p.dim != d or p.tag != tag:
-                    raise ValidationError("points mix dimensions or representations")
+        if len(self.columns) != len(self.scales) or any(len(c) != self.count for c in self.columns):
+            raise ValidationError("columns do not match the point count")
+        if len(self.exact) != (len(self.columns) if self.tag.kind == "fixedpoint" else 0):
+            raise ValidationError("fixed-point columns need one exactness flag array per axis")
 
     @property
     def dim(self) -> int:
-        return self.points[0].dim if self.points else self.spec.dim
+        return len(self.columns)
+
+    def _fraction_rows(self):
+        return zip(*(map(Fraction, c.tolist(), repeat(s)) for c, s in zip(self.columns, self.scales)))
 
     @property
-    def tag(self) -> ReprTag:
-        return self.points[0].tag if self.points else EXACT
+    def points(self) -> tuple[UnitPoint, ...]:
+        tag = self.tag
+        if tag.kind == "exact":
+            return tuple(UnitPoint(row, tag) for row in self._fraction_rows())
+        bits = zip(*(c.tolist() for c in self.columns))
+        flags = zip(*(e.tolist() for e in self.exact))
+        return tuple(
+            UnitPoint(tuple(FixedPointReal(tag.width, v, exact=e) for v, e in zip(row, ex)), tag)
+            for row, ex in zip(bits, flags)
+        )
 
     def rows(self) -> list[tuple[Fraction, ...]]:
-        return [p.fractions() for p in self.points]
+        return list(self._fraction_rows())
+
+    def head(self, n: int) -> "PointSet":
+        """The first n points, sharing this set's arrays."""
+        if not 0 <= n <= self.count:
+            raise ValidationError(f"prefix of {n} points from a set of {self.count}")
+        return replace(
+            self,
+            count=n,
+            columns=tuple(c[:n] for c in self.columns),
+            exact=tuple(e[:n] for e in self.exact),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +256,74 @@ def digitsum_filtered_index(k: int) -> int:
     return m if m.bit_count() % 2 == 0 else m + 1
 
 
+# Indices per chunk of the digit arithmetic: bounds the (chunk x digits)
+# work arrays to a few MB.
+_CHUNK = 1 << 14
+
+
+def _digit_column(indices, q: int, m: int, matrix=None) -> np.ndarray:
+    """Numerators over q^L of the digit vectors of the indices.
+
+    The first m base-q digits of n (least significant first) are mapped
+    through ``matrix`` (L rows of m entries over Z_q; None is the identity
+    with L = m) and read back as base-q digits, most significant first.
+    """
+    idx = int_array(indices, (indices[-1] if indices else 0) + 1)
+    if matrix is not None:
+        matrix = int_array(matrix, m * q * q + 1)
+    parts = []
+    for s in range(0, len(idx), _CHUNK):
+        chunk = idx[s : s + _CHUNK]
+        digits = np.empty((len(chunk), m), dtype=np.int64)
+        for j in range(m):
+            digits[:, j] = chunk % q
+            chunk = chunk // q
+        if matrix is not None:
+            digits = (digits @ matrix.T % q).astype(np.int64)
+        parts.append(_digits_value(digits, q))
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+def _digits_value(digits: np.ndarray, q: int) -> np.ndarray:
+    """The integers whose base-q digits are the rows of ``digits``, most
+    significant first; int64 words of g digits, joined in Python ints past
+    2^63."""
+    g = 1
+    while q ** (g + 1) < 1 << 63:
+        g += 1
+    value = np.zeros(len(digits), dtype=np.int64)
+    for s in range(0, digits.shape[1], g):
+        word = digits[:, s : s + g]
+        w = word.shape[1]
+        word = word @ (q ** np.arange(w - 1, -1, -1, dtype=np.int64))
+        value = word if s == 0 else value.astype(object) * q**w + word.astype(object)
+    return value
+
+
+def _check_range(indices, size: int, what: str) -> None:
+    if indices and not (indices[0] >= 0 and indices[-1] < size):
+        bad = indices[0] if indices[0] < 0 else indices[-1]
+        raise ValidationError(f"{what} {bad} outside [0, {size})")
+
+
 # ---------------------------------------------------------------------------
 # Sequence specs
 # ---------------------------------------------------------------------------
 
 
+class _Family:
+    """Per-index access shared by the families.
+
+    ``batch(indices)`` takes an increasing sequence of Python ints and
+    returns :class:`Columns`; point n is row 0 of the batch ``(n,)``.
+    """
+
+    def point(self, n: int) -> UnitPoint:
+        return PointSet(self, n, 1, *self.batch((n,))).points[0]
+
+
 @dataclass(frozen=True)
-class Kronecker:
+class Kronecker(_Family):
     """({n a_1}, ..., {n a_d}) for fixed-point carriers a_j of common width."""
 
     alphas: tuple[FixedPointReal, ...]
@@ -227,22 +346,22 @@ class Kronecker:
     def width(self) -> int:
         return self.alphas[0].width
 
-    def point(self, n: int) -> UnitPoint:
-        if n < 0:
+    def batch(self, indices) -> Columns:
+        """n a_j mod 2^W in Python ints, over 2^W."""
+        if indices and indices[0] < 0:
             raise ValidationError("index must be nonnegative")
+        if indices:  # the budget only shrinks as n grows
+            for a in self.alphas:
+                check_index_budget(a, indices[-1])
         w = self.width
         mask = (1 << w) - 1
-        coords = []
-        for a in self.alphas:
-            check_index_budget(a, n)
-            coords.append(
-                FixedPointReal(width=w, frac_bits=(n * a.frac_bits) & mask, exact=a.exact)
-            )
-        return UnitPoint(tuple(coords), ReprTag("fixedpoint", w))
+        columns = tuple(int_array([(n * a.frac_bits) & mask for n in indices], 1 << w) for a in self.alphas)
+        exact = tuple(np.full(len(indices), a.exact) for a in self.alphas)
+        return Columns(columns, (1 << w,) * self.dim, ReprTag("fixedpoint", w), exact)
 
 
 @dataclass(frozen=True)
-class Halton:
+class Halton(_Family):
     """Coordinate j is the radical inverse of n in base b_j."""
 
     bases: tuple[int, ...]
@@ -264,12 +383,18 @@ class Halton:
     def dim(self) -> int:
         return len(self.bases)
 
-    def point(self, n: int) -> UnitPoint:
-        return UnitPoint(tuple(radical_inverse(n, b) for b in self.bases), EXACT)
+    def batch(self, indices) -> Columns:
+        """Radical inverses over b^k, k the digit count of the last index."""
+        if indices and indices[0] < 0:
+            raise ValidationError("radical inverse needs n >= 0")
+        top = indices[-1] if indices else 0
+        ks = [len(digits_of(top, b)) for b in self.bases]
+        columns = tuple(_digit_column(indices, b, k) for b, k in zip(self.bases, ks))
+        return Columns(columns, tuple(b**k for b, k in zip(self.bases, ks)), EXACT)
 
 
 @dataclass(frozen=True)
-class Digital:
+class Digital(_Family):
     """Digit vectors of n mapped through generating matrices over Z_q.
 
     Points are exact rationals truncated at ``precision`` digits; all
@@ -293,22 +418,21 @@ class Digital:
     def dim(self) -> int:
         return len(self.matrices)
 
-    def point(self, n: int) -> UnitPoint:
-        if n < 0:
+    def batch(self, indices) -> Columns:
+        """One digit-matrix product mod q per chunk of indices, over q^L."""
+        if indices and indices[0] < 0:
             raise ValidationError("index must be nonnegative")
-        ds = digits_of(n, self.q)
-        coords = []
-        for mat in self.matrices:
-            y = mat_vec_mod_q(mat, ds, self.precision)
-            acc = 0
-            for v in y:
-                acc = acc * self.q + v
-            coords.append(Fraction(acc, self.q**self.precision))
-        return UnitPoint(tuple(coords), EXACT)
+        q, depth = self.q, self.precision
+        m = len(digits_of(indices[-1] if indices else 0, q))
+        columns = tuple(
+            _digit_column(indices, q, m, [mat.row_prefix(r, m) for r in range(depth)])
+            for mat in self.matrices
+        )
+        return Columns(columns, (q**depth,) * self.dim, EXACT)
 
 
 @dataclass(frozen=True)
-class DigitalKronecker:
+class DigitalKronecker(_Family):
     """Fractional parts of n(x) * f_j(x) in Z_q((1/x)), evaluated at x = q."""
 
     q: int
@@ -328,19 +452,20 @@ class DigitalKronecker:
     def dim(self) -> int:
         return len(self.series)
 
-    def point(self, n: int) -> UnitPoint:
+    def batch(self, indices) -> Columns:
+        return Columns.from_rows([self._coords(n) for n in indices], self.dim)
+
+    def _coords(self, n: int) -> tuple[Fraction, ...]:
         if n < 0:
             raise ValidationError("index must be nonnegative")
         npoly = poly_trim(digits_of(n, self.q))
-        coords = []
-        for s in self.series:
-            prod = laurent_mul_poly(s, npoly)
-            coords.append(laurent_frac_eval(prod, self.precision))
-        return UnitPoint(tuple(coords), EXACT)
+        return tuple(
+            laurent_frac_eval(laurent_mul_poly(s, npoly), self.precision) for s in self.series
+        )
 
 
 @dataclass(frozen=True)
-class Lattice:
+class Lattice(_Family):
     """The N-point set with coordinate j equal to {n * a_j / N}."""
 
     size: int
@@ -359,16 +484,14 @@ class Lattice:
     def dim(self) -> int:
         return len(self.gens)
 
-    def point(self, n: int) -> UnitPoint:
-        if not 0 <= n < self.size:
-            raise ValidationError(f"lattice index {n} outside [0, {self.size})")
-        return UnitPoint(
-            tuple(Fraction((n * g) % self.size, self.size) for g in self.gens), EXACT
-        )
+    def batch(self, indices) -> Columns:
+        _check_range(indices, self.size, "lattice index")
+        idx = int_array(indices, self.size * self.size)
+        return Columns(tuple(idx * g % self.size for g in self.gens), (self.size,) * self.dim, EXACT)
 
 
 @dataclass(frozen=True)
-class RationalNet:
+class RationalNet(_Family):
     """The q^t-point net {n(x) g_j(x) / f(x)} evaluated at x = q.
 
     ``modulus`` is f with deg f = t >= 1; every numerator g_j satisfies
@@ -404,21 +527,22 @@ class RationalNet:
     def dim(self) -> int:
         return len(self.numerators)
 
-    def point(self, n: int) -> UnitPoint:
-        if not 0 <= n < self.size:
-            raise ValidationError(f"net index {n} outside [0, {self.size})")
+    def batch(self, indices) -> Columns:
+        _check_range(indices, self.size, "net index")
+        return Columns.from_rows([self._coords(n) for n in indices], self.dim)
+
+    def _coords(self, n: int) -> tuple[Fraction, ...]:
         t = self.degree
         npoly = poly_trim(digits_of(n, self.q))
         coords = []
         for g in self.numerators:
             series = LaurentSeries.from_rational(self.q, g, self.modulus, depth=2 * t)
-            prod = laurent_mul_poly(series, npoly)
-            coords.append(laurent_frac_eval(prod, t))
-        return UnitPoint(tuple(coords), EXACT)
+            coords.append(laurent_frac_eval(laurent_mul_poly(series, npoly), t))
+        return tuple(coords)
 
 
 @dataclass(frozen=True)
-class Hammersley:
+class Hammersley(_Family):
     """n/N prepended to the first N points of a Halton sequence."""
 
     size: int
@@ -433,15 +557,15 @@ class Hammersley:
     def dim(self) -> int:
         return len(self.bases) + 1
 
-    def point(self, n: int) -> UnitPoint:
-        if not 0 <= n < self.size:
-            raise ValidationError(f"index {n} outside [0, {self.size})")
-        tail = Halton(self.bases).point(n).coords
-        return UnitPoint((Fraction(n, self.size),) + tail, EXACT)
+    def batch(self, indices) -> Columns:
+        _check_range(indices, self.size, "index")
+        tail = Halton(self.bases).batch(indices)
+        first = int_array(indices, self.size)
+        return Columns((first,) + tail.columns, (self.size,) + tail.scales, EXACT)
 
 
 @dataclass(frozen=True)
-class PowerRatio:
+class PowerRatio(_Family):
     """The exact fractional parts of (p/r)^n, kept as big rationals.
 
     Floating point loses this sequence entirely beyond n of about 50, so
@@ -461,15 +585,18 @@ class PowerRatio:
     def dim(self) -> int:
         return 1
 
-    def point(self, n: int) -> UnitPoint:
+    def batch(self, indices) -> Columns:
+        return Columns.from_rows([self._coords(n) for n in indices], 1)
+
+    def _coords(self, n: int) -> tuple[Fraction]:
         if n < 0:
             raise ValidationError("index must be nonnegative")
         den = self.r**n
-        return UnitPoint((Fraction(pow(self.p, n, den), den) if n else Fraction(0),), EXACT)
+        return (Fraction(pow(self.p, n, den), den) if n else Fraction(0),)
 
 
 @dataclass(frozen=True)
-class DigitSumFiltered:
+class DigitSumFiltered(_Family):
     """The inner sequence evaluated along indices with even binary digit sum."""
 
     inner: "SequenceSpec"
@@ -478,12 +605,12 @@ class DigitSumFiltered:
     def dim(self) -> int:
         return self.inner.dim
 
-    def point(self, k: int) -> UnitPoint:
-        return self.inner.point(digitsum_filtered_index(k))
+    def batch(self, indices) -> Columns:
+        return self.inner.batch([digitsum_filtered_index(k) for k in indices])
 
 
 @dataclass(frozen=True)
-class Hybrid:
+class Hybrid(_Family):
     """Coordinate-wise concatenation of two sequences at the same index."""
 
     left: "SequenceSpec"
@@ -493,8 +620,8 @@ class Hybrid:
     def dim(self) -> int:
         return self.left.dim + self.right.dim
 
-    def point(self, n: int) -> UnitPoint:
-        return _combine(self.left.point(n), self.right.point(n))
+    def batch(self, indices) -> Columns:
+        return _combine(self.left.batch(indices), self.right.batch(indices))
 
 
 SequenceSpec = (
@@ -511,28 +638,37 @@ SequenceSpec = (
 )
 
 
-def _coerce_exact(point: UnitPoint, width: int) -> tuple:
-    return tuple(FixedPointReal.from_fraction(c, width) for c in point.coords)
+def _coerce(batch: Columns, width: int) -> Columns:
+    """Floor an exact batch onto the grid 2^-width, ``(num << width) // den``,
+    flagging the coordinates that lose nothing; fixed-point batches pass."""
+    if batch.tag.kind == "fixedpoint":
+        return batch
+    one = 1 << width
+    columns, exact = [], []
+    for col, den in zip(batch.columns, batch.scales):
+        scaled = col.astype(object) * one
+        bits = scaled // den
+        columns.append(int_array(bits, one))
+        exact.append(bits * den == scaled)
+    return Columns(tuple(columns), (one,) * len(columns), ReprTag("fixedpoint", width, coerced=True), tuple(exact))
 
 
-def _combine(a: UnitPoint, b: UnitPoint) -> UnitPoint:
-    """Concatenate two points, coercing exact halves to fixed point."""
+def _combine(a: Columns, b: Columns) -> Columns:
+    """Concatenate two batches, coercing an exact half to fixed point."""
+    coerced = a.tag.coerced or b.tag.coerced
     if a.tag.kind == b.tag.kind == "exact":
-        return UnitPoint(a.coords + b.coords, ReprTag("exact", coerced=a.tag.coerced or b.tag.coerced))
-    if a.tag.kind == b.tag.kind == "fixedpoint":
+        tag = ReprTag("exact", coerced=coerced)
+    elif a.tag.kind == b.tag.kind == "fixedpoint":
         if a.tag.width != b.tag.width:
             raise ValidationError(
                 f"cannot combine fixed-point halves of widths {a.tag.width} and {b.tag.width}"
             )
-        return UnitPoint(
-            a.coords + b.coords,
-            ReprTag("fixedpoint", a.tag.width, coerced=a.tag.coerced or b.tag.coerced),
-        )
-    if a.tag.kind == "exact":
-        coords = _coerce_exact(a, b.tag.width) + b.coords
-        return UnitPoint(coords, ReprTag("fixedpoint", b.tag.width, coerced=True))
-    coords = a.coords + _coerce_exact(b, a.tag.width)
-    return UnitPoint(coords, ReprTag("fixedpoint", a.tag.width, coerced=True))
+        tag = ReprTag("fixedpoint", a.tag.width, coerced=coerced)
+    else:
+        width = (a if a.tag.kind == "fixedpoint" else b).tag.width
+        a, b = _coerce(a, width), _coerce(b, width)
+        tag = ReprTag("fixedpoint", width, coerced=True)
+    return Columns(a.columns + b.columns, a.scales + b.scales, tag, a.exact + b.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -569,5 +705,11 @@ def stream(spec: SequenceSpec, start: int, count: int) -> PointSet:
     """Materialize ``count`` points of the sequence starting at ``start``."""
     if start < 0 or count < 0:
         raise ValidationError("start and count must be nonnegative")
-    pts = tuple(spec.point(n) for n in range(start, start + count))
-    return PointSet(points=pts, spec=spec, start=start, count=count)
+    indices = range(start, start + count)
+    try:
+        batch = spec.batch(indices)
+    except LowdiscError:
+        for n in indices:  # raise what the first failing index raises alone
+            spec.batch((n,))
+        raise
+    return PointSet(spec, start, count, *batch)

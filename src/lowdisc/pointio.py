@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .algebra import FixedPointReal, GenMatrix, LaurentSeries, golden_ratio_frac
 from .errors import ValidationError
@@ -283,12 +284,17 @@ def format_coordinate(value: Fraction, decimal: int | None) -> str:
     """Render a coordinate as ``p/q`` or as a decimal with ``decimal`` digits
     after the point, rounded down (floor), so a value in [0, 1) never prints
     as ``1.0...`` and a ``gen --decimal`` file reads back."""
+    return _format_ratio(value.numerator, value.denominator, decimal)
+
+
+def _format_ratio(num: int, den: int, decimal: int | None) -> str:
+    """:func:`format_coordinate` of ``num / den``."""
     if decimal is None:
-        return str(value)
+        return str(Fraction(num, den))
     if decimal < 1:
         raise ValidationError("decimal digit count must be >= 1")
     scale = 10**decimal
-    scaled = value.numerator * scale // value.denominator
+    scaled = num * scale // den
     sign = "-" if scaled < 0 else ""
     scaled = abs(scaled)
     return f"{sign}{scaled // scale}.{scaled % scale:0{decimal}d}"
@@ -301,8 +307,8 @@ def write_points(points: PointSet, fh, decimal: int | None = None) -> None:
         f" start={points.start} count={points.count} format={fmt}"
     )
     fh.write(header + "\n")
-    for p in points.points:
-        fh.write("\t".join(format_coordinate(c, decimal) for c in p.fractions()) + "\n")
+    for row in zip(*(c.tolist() for c in points.columns)):
+        fh.write("\t".join(map(_format_ratio, row, points.scales, repeat(decimal))) + "\n")
 
 
 @dataclass(frozen=True)
