@@ -118,7 +118,7 @@ def _cmd_disc(args) -> None:
         with open(args.infile, encoding="utf-8") as fh:
             data = read_points(fh)
     result = compute_discrepancy(
-        data.rows, kind=args.kind, algo=args.algo, k=args.k, work_budget=args.budget
+        data.columns, kind=args.kind, algo=args.algo, k=args.k, work_budget=args.budget
     )
     if data.represented_only and result.mode == "exact":
         from dataclasses import replace

@@ -12,6 +12,17 @@ with all arithmetic integral; the expansion is periodic and the period is
 detected at the first repeated (m, d) state, which classical bounds
 (0 < m <= sqrt(D), 0 < d <= 2 sqrt(D)) guarantee to exist.
 
+The Zaremba and Moser scans run Euclid's algorithm inline on the pair
+(n, a) and build no :class:`RationalCF`.  Residues are visited in increasing
+order and a tie keeps the smaller witness, so an expansion is abandoned as
+soon as its running maximum (Zaremba) or running sum (Moser) reaches the best
+statistic so far: it can no longer win.  A residue that is not coprime to n
+ends Euclid at a gcd above 1 and is skipped.  The Moser scan stops at
+a = n/2: for a < n/2 the quotients of (n - a)/n are ``[0; 1, q1 - 1, q2, ...]``
+where those of a/n are ``[0; q1, q2, ...]``, the same sum at a larger
+residue.  (The largest quotient can drop under that map, so the Zaremba scan
+visits every residue.)
+
 Scans over moduli or indices are independent per item and therefore safe to
 partition across workers; everything here is deterministic.
 """
@@ -21,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from .algebra import FixedPointReal
 from .errors import PrecisionError, ValidationError
@@ -171,14 +182,20 @@ def zaremba_scan(n: int) -> tuple[int, int]:
     of a/n, with the smallest witnessing a."""
     if n < 2:
         raise ValidationError("need n >= 2")
-    best: tuple[int, int] | None = None
-    for a in range(1, n):
-        if gcd(a, n) != 1:
-            continue
-        stat = max(cf_rational(a, n).tail)
-        if best is None or (stat, a) < best:
-            best = (stat, a)
-    return best
+    best, witness = n, 1  # 1/n = [0; n]
+    for a in range(2, n):
+        x, y, top = n, a, 0
+        while y:
+            q = x // y
+            if q > top:
+                top = q
+                if top >= best:
+                    break
+            x, y = y, x - q * y
+        else:
+            if x == 1:  # gcd(a, n) = 1
+                best, witness = top, a
+    return best, witness
 
 
 def moser_scan(n: int) -> tuple[int, int]:
@@ -186,14 +203,19 @@ def moser_scan(n: int) -> tuple[int, int]:
     a/n, with the smallest witnessing a."""
     if n < 2:
         raise ValidationError("need n >= 2")
-    best: tuple[int, int] | None = None
-    for a in range(1, n):
-        if gcd(a, n) != 1:
-            continue
-        stat = sum(cf_rational(a, n).tail)
-        if best is None or (stat, a) < best:
-            best = (stat, a)
-    return best
+    best, witness = n, 1  # 1/n = [0; n]
+    for a in range(2, n // 2 + 1):
+        x, y, total = n, a, 0
+        while y:
+            q = x // y
+            total += q
+            if total >= best:
+                break
+            x, y = y, x - q * y
+        else:
+            if x == 1:  # gcd(a, n) = 1
+                best, witness = total, a
+    return best, witness
 
 
 # ---------------------------------------------------------------------------

@@ -29,10 +29,14 @@ and :func:`star_disc_bracket` differ only in the corner grid they hand it.
   from the exact corner values and int64 counts.  Floats prune; no
   floating point decides a maximum.
 
+The extreme kind in d >= 2 (:func:`extreme_disc_grid`) runs the same
+filter and recheck over every lower/upper corner pair, counting each box by
+2^d-term inclusion-exclusion over one closed prefix-count array.
+
 Every algorithm reads integer columns over per-axis scales (a
-:class:`~lowdisc.generators.PointSet` hands over its own).  The 1D kinds use
-exact closed forms on the sorted numerators, and the extreme kind in d >= 2
-enumerates corner pairs in integer arithmetic.
+:class:`~lowdisc.generators.PointSet` or :class:`~lowdisc.generators.Columns`
+hands over its own).  The 1D kinds use exact closed forms on the sorted
+numerators.
 
 Results say what they certify: ``exact`` for exact-rational inputs,
 ``exact-represented`` when the input points are themselves fixed-point or
@@ -138,16 +142,24 @@ class DiscrepancyResult:
 # ---------------------------------------------------------------------------
 
 
+def _size(points) -> tuple[int, int]:
+    """Point count and dimension of any input :func:`_normalize` takes."""
+    if isinstance(points, (PointSet, Columns)):
+        columns = points.columns
+        return (len(columns[0]), len(columns)) if columns else (0, 0)
+    return len(points), len(points[0]) if points else 0
+
+
 def _normalize(points) -> tuple[tuple, tuple[int, ...], str]:
     """Integer columns, per-axis scales and the certification mode of the
     input: coordinate j of point i is ``columns[j][i] / scales[j]``.
 
-    A :class:`PointSet` hands over its columns after a range check; other
-    inputs are rows of anything ``Fraction`` accepts, each axis scaled by the
-    lcm of its denominators.
+    A :class:`PointSet` or :class:`Columns` hands over its columns after a
+    range check; other inputs are rows of anything ``Fraction`` accepts, each
+    axis scaled by the lcm of its denominators.
     """
-    if isinstance(points, PointSet):
-        if points.count == 0:
+    if isinstance(points, (PointSet, Columns)):
+        if _size(points)[0] == 0:
             raise ValidationError("empty point set")
         for col, scale in zip(points.columns, points.scales):
             lo, hi = int(col.min()), int(col.max())
@@ -240,43 +252,33 @@ def _prefix_counts(index, shape):
         yield r0, block
 
 
-def _star_kernel(corners, scales, closed, open_) -> Fraction:
-    """Exact maximum over the corner grid of ``max(vol - open/N, closed/N - vol)``.
+def _max_objective(extents, scales, n: int, blocks) -> Fraction:
+    """Exact maximum over a grid of cells of ``max(vol - open/N, closed/N - vol)``.
 
-    ``corners[j]`` lists the sorted corner values of axis j as integers in
-    units of ``1/scales[j]``.  ``closed[p, j]`` and ``open_[p, j]`` are the
-    indices of the first corner of axis j with ``x_pj <= corner`` and
-    ``x_pj < corner``; a point is in the closed (open) box of a corner when
-    its closed (open) index is at most the corner's on every axis.
+    Cell ``(i_0, ..., i_{d-1})`` has volume ``prod_j extents[j][i_j] / scales[j]``
+    (each extent an integer in ``[0, scales[j]]``).  ``blocks`` yields
+    ``(r0, open_, closed)``: int64 arrays of the open and closed point counts
+    of the cells whose axis-0 index runs from r0.
 
     Floats only prune.  Both sides are evaluated scaled by N in float64.
-    ``N vol`` costs d correctly rounded quotients ``c_j / s_j`` (the first
-    one ``N c_0 / s_0``) and d - 1 products; counts below 2^53 are exact; one
+    ``N vol`` costs d correctly rounded quotients ``e_j / s_j`` (the first
+    one ``N e_0 / s_0``) and d - 1 products; counts below 2^53 are exact; one
     subtraction of terms in [0, N(1 + (2d - 1)u)] follows.  So a side is off
     by at most ``N (2d u + O(d^2 u^2)) < E = (2d + 1) u N``, ``u = 2^-53``
     (gradual underflow adds at most 2^-1074 per operation).  A cell whose
     float value is below ``F - 2E``, F the float maximum, is therefore below
     the cell that attains the true maximum; the spare ``2uN`` in 2E covers
     the rounding of ``F - 2E`` itself.  Every other cell is rechecked in
-    integer arithmetic from the exact corners and int64 counts.
+    integer arithmetic from the exact extents and int64 counts.
     """
-    n, d = closed.shape
-    shape = tuple(len(c) for c in corners)
-    axes = [np.array([c * w / s for c in cs]) for cs, s, w in zip(corners, scales, (n,) + (1,) * d)]
+    d = len(extents)
+    axes = [np.array([e * w / s for e in es]) for es, s, w in zip(extents, scales, (n,) + (1,) * d)]
     nvol_row = reduce(np.multiply.outer, axes[1:], np.ones(()))
     slack = (4 * d + 2) * 2.0**-53 * n  # 2E
-    # the open count at corner i is the count of open_ - 1 at corner i - 1
-    lower = open_ - 1
-    counts = _prefix_counts(closed, shape)
-    if np.array_equal(lower, closed):  # critical grids: one histogram serves both
-        blocks = ((r0, h, h) for r0, h in counts)
-    else:
-        blocks = ((r0, h, g) for (r0, h), (_, g) in zip(counts, _prefix_counts(lower, shape)))
     best = -np.inf
-    kept: list[tuple[float, int, list[int], int]] = []  # (float value, sign, corner index, count)
-    for r0, h_closed, h_lower in blocks:
-        nvol = np.multiply.outer(axes[0][r0 : r0 + len(h_closed) - 1], nvol_row)
-        c_closed, c_open = h_closed[(slice(1, None),) * d], h_lower[(slice(-1),) * d]
+    kept: list[tuple[float, int, list[int], int]] = []  # (float value, sign, cell, count)
+    for r0, c_open, c_closed in blocks:
+        nvol = np.multiply.outer(axes[0][r0 : r0 + len(c_open)], nvol_row)
         for sign, count, value in ((1, c_open, nvol - c_open), (-1, c_closed, c_closed - nvol)):
             top = float(value.max())
             if top < best - slack:
@@ -289,9 +291,31 @@ def _star_kernel(corners, scales, closed, open_) -> Fraction:
     total = math.prod(scales)
     exact = 0
     for _, sign, cell, count in kept:
-        lam = n * math.prod(c[i] for c, i in zip(corners, cell))
+        lam = n * math.prod(e[i] for e, i in zip(extents, cell))
         exact = max(exact, sign * (lam - count * total))
     return Fraction(exact, n * total)
+
+
+def _star_kernel(corners, scales, closed, open_) -> Fraction:
+    """Exact maximum over the corner grid of ``max(vol - open/N, closed/N - vol)``.
+
+    ``corners[j]`` lists the sorted corner values of axis j as integers in
+    units of ``1/scales[j]``.  ``closed[p, j]`` and ``open_[p, j]`` are the
+    indices of the first corner of axis j with ``x_pj <= corner`` and
+    ``x_pj < corner``; a point is in the closed (open) box of a corner when
+    its closed (open) index is at most the corner's on every axis.
+    """
+    n, d = closed.shape
+    shape = tuple(len(c) for c in corners)
+    # the open count at corner i is the count of open_ - 1 at corner i - 1
+    lower = open_ - 1
+    counts = _prefix_counts(closed, shape)
+    if np.array_equal(lower, closed):  # critical grids: one histogram serves both
+        hists = ((r0, h, h) for r0, h in counts)
+    else:
+        hists = ((r0, h, g) for (r0, h), (_, g) in zip(counts, _prefix_counts(lower, shape)))
+    blocks = ((r0, g[(slice(-1),) * d], h[(slice(1, None),) * d]) for r0, h, g in hists)
+    return _max_objective(corners, scales, n, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -348,48 +372,77 @@ def star_disc_2d_sweep(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> Dis
 # ---------------------------------------------------------------------------
 
 
-def extreme_disc_grid(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> DiscrepancyResult:
-    """Exact extreme discrepancy by enumerating lower/upper corner pairs.
+def _box_counts(prefix, bounds) -> np.ndarray:
+    """Points in every product box, by 2^d-term inclusion-exclusion.
 
-    The candidate grid is squared relative to the star case, so this is only
-    affordable for small sets; the work bound is pairs * N * d.
+    ``prefix`` is a padded closed prefix-count array; ``bounds[j] = (hi, lo)``
+    are index arrays into its axis j, and the count of a box is the sum over
+    every choice of hi or lo per axis of its prefix entry, negated once per
+    lo.  Boxes span the outer product of the bounds' entries.
+    """
+    total = 0
+    for choice in itertools.product((0, 1), repeat=len(bounds)):
+        term = prefix[np.ix_(*(b[c] for b, c in zip(bounds, choice)))]
+        total = total - term if sum(choice) % 2 else total + term
+    return total
+
+
+def extreme_disc_grid(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> DiscrepancyResult:
+    """Exact extreme discrepancy over lower/upper corner pairs.
+
+    Lower corners run over the per-axis coordinate values plus 0, upper
+    corners over the values plus 1; each box is evaluated with open and
+    closed counting.  The pair grid is squared relative to the star case, so
+    this is only affordable for small sets; the work bound is
+    pairs * N * d.
+
+    On the critical grid (corners ``c_0 < c_1 < ...`` of an axis), the
+    count of ``x < c_i`` is the count of ``x <= c_{i-1}``, so one closed
+    prefix-count array gives both: the closed box ``[c_l, c_u]`` spans
+    prefix entries ``u`` and ``l - 1`` of each axis, the open box
+    ``(c_l, c_u)`` entries ``u - 1`` and ``l`` (none when ``u = l``).
     """
     columns, scales, mode = _normalize(points)
     n, d = len(columns[0]), len(columns)
-    scaled = list(zip(*(c.tolist() for c in columns)))
-    axis_pairs = []
-    for j in range(d):
-        uniq = np.unique(columns[j]).tolist()
-        lowers = sorted(set(uniq) | {0})
-        uppers = sorted(set(uniq) | {scales[j]})
-        axis_pairs.append([(lo, up) for lo in lowers for up in uppers if lo <= up])
-    pair_count = math.prod(len(p) for p in axis_pairs)
+    corners, closed = _critical_grid(columns, scales)
+    starts = []  # index of the first upper corner per axis
+    for j, cs in enumerate(corners):
+        starts.append(int(cs[0] != 0))  # 0 is a lower corner only, unless a point sits there
+        if starts[j]:
+            cs.insert(0, 0)
+            closed[:, j] += 1
+    # lower l < m - 1, upper u >= s, l <= u: all (l, u) less those with s <= u < l <= m - 2
+    pair_count = math.prod((len(cs) - 1) * (len(cs) - s) - math.comb(len(cs) - 1 - s, 2)
+                           for cs, s in zip(corners, starts))
     if pair_count * n * d > work_budget:
         raise BudgetError(
             f"extreme enumeration needs {pair_count * n * d} point-coordinate checks, "
             f"beyond the budget of {work_budget}"
         )
-    px = math.prod(scales)
-    best = 0
-    for combo in itertools.product(*axis_pairs):
-        a_oo = 0
-        a_cc = 0
-        for p in scaled:
-            cc = True
-            oo = True
-            for pj, (lo, up) in zip(p, combo):
-                if pj < lo or pj > up:
-                    cc = oo = False
-                    break
-                if pj == lo or pj == up:
-                    oo = False
-            if cc:
-                a_cc += 1
-                if oo:
-                    a_oo += 1
-        lam = n * math.prod(up - lo for lo, up in combo)
-        best = max(best, lam - a_oo * px, a_cc * px - lam)
-    return DiscrepancyResult("extreme", mode, n, d, value=Fraction(best, n * px))
+    extents, closed_bounds, open_bounds = [], [], []
+    for cs, s in zip(corners, starts):
+        lo, up = np.triu_indices(len(cs))
+        keep = (lo < len(cs) - 1) & (up >= s)
+        lo, up = lo[keep], up[keep]
+        extents.append([cs[u] - cs[l] for l, u in zip(lo.tolist(), up.tolist())])
+        # padded prefix index i + 1 holds the count at corner i
+        closed_bounds.append((up + 1, lo))
+        open_bounds.append((np.maximum(up, lo + 1), lo + 1))
+    shape = tuple(len(c) for c in corners)
+    prefix = np.concatenate([h if r0 == 0 else h[1:] for r0, h in _prefix_counts(closed, shape)])
+    step = max(1, _BLOCK_CELLS // math.prod(len(e) for e in extents[1:]))
+
+    def blocks():
+        for r0 in range(0, len(extents[0]), step):
+            rows = slice(r0, r0 + step)
+            c_open, c_closed = (
+                _box_counts(prefix, [tuple(b[rows] for b in bounds[0]), *bounds[1:]])
+                for bounds in (open_bounds, closed_bounds)
+            )
+            yield r0, c_open, c_closed
+
+    value = _max_objective(extents, scales, n, blocks())
+    return DiscrepancyResult("extreme", mode, n, d, value=value)
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +555,9 @@ def compute_discrepancy(
     Explicit algorithm choices are honored against ``work_budget`` and fail
     with :class:`~lowdisc.errors.BudgetError` instead of degrading.
     """
-    n = points.count if isinstance(points, PointSet) else len(points)
+    n, d = _size(points)
     if n == 0:
         raise ValidationError("empty point set")
-    d = points.dim if isinstance(points, PointSet) else len(points[0])
     if kind not in ("star", "extreme"):
         raise ValidationError(f"unknown discrepancy kind {kind!r}")
     if algo not in ("auto", "1d", "2d", "grid", "bracket"):

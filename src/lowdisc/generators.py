@@ -586,13 +586,13 @@ class PowerRatio(_Family):
         return 1
 
     def batch(self, indices) -> Columns:
-        return Columns.from_rows([self._coords(n) for n in indices], 1)
-
-    def _coords(self, n: int) -> tuple[Fraction]:
-        if n < 0:
+        """Numerators ``(p^n mod r^n) r^(m - n)`` over ``r^m``, m the last index."""
+        if indices and indices[0] < 0:
             raise ValidationError("index must be nonnegative")
-        den = self.r**n
-        return (Fraction(pow(self.p, n, den), den) if n else Fraction(0),)
+        m = indices[-1] if indices else 0
+        r = self.r
+        column = int_array([pow(self.p, n, r**n) * r ** (m - n) for n in indices], r**m)
+        return Columns((column,), (r**m,), EXACT)
 
 
 @dataclass(frozen=True)

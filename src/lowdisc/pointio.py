@@ -36,10 +36,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from math import gcd, lcm
 
-from .algebra import FixedPointReal, GenMatrix, LaurentSeries, golden_ratio_frac
+from .algebra import FixedPointReal, GenMatrix, LaurentSeries, golden_ratio_frac, int_array
 from .errors import ValidationError
 from .generators import (
+    EXACT,
+    Columns,
     Digital,
     DigitSumFiltered,
     DigitalKronecker,
@@ -290,7 +293,8 @@ def format_coordinate(value: Fraction, decimal: int | None) -> str:
 def _format_ratio(num: int, den: int, decimal: int | None) -> str:
     """:func:`format_coordinate` of ``num / den``."""
     if decimal is None:
-        return str(Fraction(num, den))
+        g = gcd(num, den)
+        return f"{num // g}/{den // g}" if g != den else str(num // g)
     if decimal < 1:
         raise ValidationError("decimal digit count must be >= 1")
     scale = 10**decimal
@@ -307,18 +311,29 @@ def write_points(points: PointSet, fh, decimal: int | None = None) -> None:
         f" start={points.start} count={points.count} format={fmt}"
     )
     fh.write(header + "\n")
-    for row in zip(*(c.tolist() for c in points.columns)):
-        fh.write("\t".join(map(_format_ratio, row, points.scales, repeat(decimal))) + "\n")
+    texts = [
+        map(_format_ratio, c.tolist(), repeat(s), repeat(decimal))
+        for c, s in zip(points.columns, points.scales)
+    ]
+    fh.writelines("\t".join(row) + "\n" for row in zip(*texts))
 
 
 @dataclass(frozen=True)
 class ReadPoints:
-    rows: tuple[tuple[Fraction, ...], ...]
+    """The points of a file as integer :class:`~lowdisc.generators.Columns`,
+    plus its header; ``rows`` is a ``Fraction`` view built on demand."""
+
+    columns: Columns
     header: dict[str, str]
 
     @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        batch = self.columns
+        return tuple(zip(*(map(Fraction, c.tolist(), repeat(s)) for c, s in zip(batch.columns, batch.scales))))
+
+    @property
     def dim(self) -> int:
-        return len(self.rows[0]) if self.rows else int(self.header.get("dim", 0))
+        return len(self.columns.columns) if self.columns.columns else int(self.header.get("dim", 0))
 
     @property
     def represented_only(self) -> bool:
@@ -330,9 +345,27 @@ class ReadPoints:
         ) != "frac"
 
 
+def _ratio(token: str) -> tuple[int, int]:
+    """Numerator and denominator of a coordinate token.  ``p/q`` and
+    ``digits.digits`` are read as integers (the latter over 10^digits);
+    any other spelling is parsed by ``Fraction``."""
+    num, slash, den = token.partition("/")
+    if slash:
+        if num.isdigit() and den.isdigit() and (q := int(den)):
+            return int(num), q
+    else:
+        whole, dot, digits = token.partition(".")
+        if whole.isdigit() and (digits.isdigit() or not dot):
+            return int(whole + digits), 10 ** len(digits)
+    value = Fraction(token)
+    return value.numerator, value.denominator
+
+
 def read_points(fh) -> ReadPoints:
+    """Read a point file (see the module docstring) into integer columns,
+    each axis over the lcm of its distinct denominators."""
     header: dict[str, str] = {}
-    rows: list[tuple[Fraction, ...]] = []
+    axes: list[tuple[list[int], list[int]]] = []  # numerators and denominators per axis
     dim: int | None = None
     for lineno, raw in enumerate(fh, start=1):
         line = raw.rstrip("\n")
@@ -344,17 +377,26 @@ def read_points(fh) -> ReadPoints:
                     k, v = item.split("=", 1)
                     header[k] = v
             continue
-        parts = line.split("\t")
         try:
-            coords = tuple(Fraction(p) for p in parts)
+            coords = list(map(_ratio, line.split("\t")))
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"line {lineno}: cannot parse coordinates {line!r}") from None
-        for c in coords:
-            if not 0 <= c < 1:
-                raise ValidationError(f"line {lineno}: coordinate {c} outside [0, 1)")
+        for num, den in coords:
+            if not 0 <= num < den:
+                raise ValidationError(f"line {lineno}: coordinate {Fraction(num, den)} outside [0, 1)")
         if dim is None:
             dim = len(coords)
+            axes = [([], []) for _ in coords]
         elif len(coords) != dim:
             raise ValidationError(f"line {lineno}: expected {dim} coordinates, got {len(coords)}")
-        rows.append(coords)
-    return ReadPoints(rows=tuple(rows), header=header)
+        for (num, den), (nums, dens) in zip(coords, axes):
+            nums.append(num)
+            dens.append(den)
+    columns, scales = [], []
+    for nums, dens in axes:
+        distinct = set(dens)
+        scale = lcm(*distinct)
+        factor = {den: scale // den for den in distinct}
+        columns.append(int_array([num * factor[den] for num, den in zip(nums, dens)], scale))
+        scales.append(scale)
+    return ReadPoints(Columns(tuple(columns), tuple(scales), EXACT), header)

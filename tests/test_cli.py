@@ -60,6 +60,44 @@ def test_gen_disc_pipeline_matches_library(tmp_path):
     assert payload["N"] == 32 and payload["d"] == 2
 
 
+def _fraction_rows(text: str):
+    """Reference reader: every coordinate token of a point file as a Fraction."""
+    lines = [line for line in text.splitlines() if line and not line.startswith("#")]
+    return tuple(tuple(Fraction(token) for token in line.split("\t")) for line in lines)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "halton:bases=3",
+        "lattice:N=40,gens=1|7",
+        "hammersley:N=40,bases=2|3",
+        "kronecker:width=64,alphas=sqrt2",
+        "kronecker:width=200,alphas=sqrt2|sqrt3|golden",
+        "hybrid:left=(halton:bases=3),right=(kronecker:width=96,alphas=sqrt2)",
+        "hybrid:left=(kronecker:width=80,alphas=sqrt5),right=(halton:bases=2|3)",
+    ],
+)
+@pytest.mark.parametrize("decimal", [None, 9])
+def test_point_files_read_back_as_columns(tmp_path, spec, decimal):
+    from lowdisc.discrepancy import compute_discrepancy
+    from lowdisc.pointio import read_points
+
+    pts = tmp_path / "p.tsv"
+    extra = () if decimal is None else ("--decimal", str(decimal))
+    assert run_cli("gen", "--spec", spec, "--count", "40", "--out", str(pts), *extra)[0] == 0
+    want = _fraction_rows(pts.read_text())
+    with open(pts, encoding="utf-8") as fh:
+        back = read_points(fh)
+    assert back.rows == want and back.dim == len(want[0])
+    # disc reports what the per-token Fraction rows give
+    code, out, err = run_cli("disc", "--in", str(pts))
+    assert code == 0, err
+    result = compute_discrepancy(want)
+    mode = "exact-represented" if back.represented_only else result.mode
+    assert json.loads(out) == dict(json.loads(result.to_json()), mode=mode)
+
+
 def test_disc_marks_represented_points(tmp_path):
     pts = tmp_path / "p.tsv"
     run_cli("gen", "--spec", "kronecker:width=96,alphas=sqrt2", "--count", "16", "--out", str(pts))

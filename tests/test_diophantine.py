@@ -129,6 +129,19 @@ def test_moser_bounded_by_zaremba_witness():
         assert s_min <= a_min * len(zaremba_tail)
 
 
+def _reference_scans(n):
+    """Both scans by the definition: (stat, a) minimized over a coprime to n."""
+    tails = [(cf_rational(a, n).tail, a) for a in range(1, n) if gcd(a, n) == 1]
+    return min((max(t), a) for t, a in tails), min((sum(t), a) for t, a in tails)
+
+
+def test_scans_match_reference():
+    # the pruned scans stop an expansion once it ties the best, and Moser
+    # visits only a <= n/2; both must still return the smallest witness
+    for n in [*range(2, 401), 997, 1000, 1024, 2310]:
+        assert (zaremba_scan(n), moser_scan(n)) == _reference_scans(n), n
+
+
 # -- Schmidt-type counting ------------------------------------------------------------
 
 

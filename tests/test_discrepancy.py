@@ -161,6 +161,25 @@ def test_extreme_grid_agrees_with_oracle_randomized():
         assert extreme_disc_grid(rows).value == brute_force_oracle(rows, "extreme")
 
 
+def test_extreme_grid_near_ties_match_oracle():
+    # As for the star kernel: coordinates 2^-80 apart share one double, so
+    # only the exact recheck separates their boxes.  On the two crafted sets
+    # the box of the true maximum reads below the float maximum.
+    t = Fraction(1, 2**80)
+    f = Fraction
+    near_ties = [
+        [(f(5, 7) - t, f(2, 5) - t), (f(0), f(0))],
+        [(f(0), f(0)), (f(1, 2) + t, f(2, 3))],
+    ]
+    rng = random.Random(1618)
+    for d, n_max, count in ((2, 9, 20), (3, 4, 6)):
+        for _ in range(count):
+            rows = rand_rows(rng, rng.randrange(1, n_max), d, dens=(3, 5, 6, 7, 10))
+            near_ties.append([tuple(x + rng.randrange(-2, 3) * t if x else x for x in row) for row in rows])
+    for rows in near_ties:
+        assert extreme_disc_grid(rows).value == brute_force_oracle(rows, "extreme")
+
+
 def test_star_extreme_ordering_invariants():
     rng = random.Random(99)
     for _ in range(30):

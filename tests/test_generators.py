@@ -397,6 +397,29 @@ def test_read_points_validation():
         read_points(io.StringIO("zebra\n"))
 
 
+def test_read_points_noncanonical_spellings():
+    back = read_points(io.StringIO("2/4\t0.5\n 1/3\t0.250\n0\t3/9\n"))
+    f = Fraction
+    assert back.rows == ((f(1, 2), f(1, 2)), (f(1, 3), f(1, 4)), (f(0), f(1, 3)))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("1", "coordinate 1 outside"),
+        ("1.00", "coordinate 1 outside"),
+        ("-1/3", "coordinate -1/3 outside"),
+        ("1/x", "cannot parse"),
+        ("1/0", "cannot parse"),
+        ("1/2\t1/3", "expected 1 coordinates, got 2"),
+    ],
+)
+def test_read_points_errors_name_the_line(bad, message):
+    text = f"# dim=1\n1/2\n\n{bad}\n1/4\n"
+    with pytest.raises(ValidationError, match=f"^line 4: {message}"):
+        read_points(io.StringIO(text))
+
+
 def test_isqrt_reference_for_sqrt_tokens():
     spec = parse_spec("kronecker:width=64,alphas=sqrt2")
     alpha = spec.alphas[0]
