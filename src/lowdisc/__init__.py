@@ -65,9 +65,7 @@ from .generators import (
     PointSet,
     PowerRatio,
     RationalNet,
-    UnitPoint,
     digitsum_filtered_index,
-    kronecker_point,
     lattice_point_set,
     radical_inverse,
     stream,

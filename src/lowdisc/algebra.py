@@ -50,7 +50,6 @@ __all__ = [
     "poly_deg",
     "poly_divmod",
     "poly_gcd",
-    "poly_mul",
     "poly_trim",
 ]
 
@@ -171,19 +170,6 @@ def _check_poly(coeffs, q: int) -> tuple[int, ...]:
     return poly_trim(cs)
 
 
-def poly_mul(a, b, q: int) -> tuple[int, ...]:
-    a = _check_poly(a, q)
-    b = _check_poly(b, q)
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % q
-    return poly_trim(out)
-
-
 def poly_divmod(a, b, q: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     a = list(_check_poly(a, q))
     b = _check_poly(b, q)
@@ -224,12 +210,11 @@ class GenMatrix:
     """An N x N generating matrix over Z_q given by a pure entry function.
 
     Row and column indices are 0-based; row ``r`` produces the coefficient
-    of ``q^-(r+1)`` in the generated point.  ``finite_rows`` declares that
-    every row has finitely many nonzero entries, in which case
-    :meth:`last_nonzero_col` reports the last nonzero column of a row
-    (-1 for an all-zero row).  Matrices built from explicit row storage are
-    extended with zero rows/columns; randomly sampled matrices are capped at
-    their sampled size and raise beyond it rather than inventing entries.
+    of ``q^-(r+1)`` in the generated point, and the digit products read a
+    matrix only through :meth:`row_prefix`.  Matrices built from explicit
+    row storage are extended with zero rows/columns; randomly sampled
+    matrices are capped at their sampled size and raise beyond it rather
+    than inventing entries.
     """
 
     def __init__(
@@ -237,20 +222,14 @@ class GenMatrix:
         q: int,
         entry_fn,
         *,
-        finite_rows: bool = False,
-        last_nonzero_fn=None,
         max_rows: int | None = None,
         max_cols: int | None = None,
         label: str = "custom",
     ) -> None:
         _check_prime(q)
-        if finite_rows and last_nonzero_fn is None:
-            raise ValidationError("finite-row matrices must report last nonzero columns")
         self.q = q
-        self.finite_rows = finite_rows
         self.label = label
         self._entry_fn = entry_fn
-        self._last_nonzero_fn = last_nonzero_fn
         self._max_rows = max_rows
         self._max_cols = max_cols
 
@@ -280,12 +259,6 @@ class GenMatrix:
         """First ``m`` entries of row ``r``; deterministic."""
         return tuple(self.entry(r, c) for c in range(m))
 
-    def last_nonzero_col(self, r: int) -> int:
-        if not self.finite_rows:
-            raise ValidationError("matrix does not declare finite rows")
-        self._check_index(r, 0)
-        return self._last_nonzero_fn(r)
-
     # -- named constructions -------------------------------------------------
 
     @classmethod
@@ -293,8 +266,6 @@ class GenMatrix:
         return cls(
             q,
             lambda r, c: 1 if r == c else 0,
-            finite_rows=True,
-            last_nonzero_fn=lambda r: r,
             label="identity",
         )
 
@@ -324,23 +295,12 @@ class GenMatrix:
                 return 0
             return stored[r][c]
 
-        def last_nonzero(r: int) -> int:
-            if r >= len(stored):
-                return -1
-            row = stored[r]
-            for c in range(len(row) - 1, -1, -1):
-                if row[c]:
-                    return c
-            return -1
-
         body = ".".join("".join(str(v) for v in row) for row in stored)
         if q > 7:
             body = "unprintable"
         return cls(
             q,
             entry,
-            finite_rows=True,
-            last_nonzero_fn=last_nonzero,
             label=f"rows:{body}",
         )
 
@@ -399,8 +359,6 @@ class GenMatrix:
         return cls(
             q,
             entry,
-            finite_rows=True,
-            last_nonzero_fn=lambda r: len(stored[r]) - 1,
             max_rows=size,
             label=f"finiterandom(size={size},seed={seed},rho={rho})",
         )

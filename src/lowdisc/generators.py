@@ -3,20 +3,24 @@
 Every family is described by an immutable spec object (the configuration
 currency of the whole package: the CLI, the experiment harness, and the
 emission format all speak specs).  A spec knows its dimension and generates
-points in batches: ``spec.batch(indices)`` returns :class:`Columns`, one
-integer numerator array per axis over a denominator known from the spec
+points in batches only: ``spec.batch(indices)`` returns :class:`Columns`,
+one integer numerator array per axis over a denominator known from the spec
 (2^W for Kronecker, q^L for digital, b^k for Halton with k the digit count
 of the last index, N for lattice and Hammersley sets).  :func:`stream`
-materializes an index range as a :class:`PointSet` of such columns, and
-``spec.point(n)`` is row 0 of the batch ``(n,)``.  Index origin is n = 0
-for every family.
+materializes an index range as a :class:`PointSet` of such columns; a single
+point n is ``stream(spec, n, 1)``.  Index origin is n = 0 for every family.
+
+Digital Kronecker sequences and rational nets are digital sequences too:
+digit r of {n(x) f(x)} is sum_c n_c a_(r+c+1) over the Laurent coefficients
+a_k of f, a Hankel generating matrix, so both run through the same digit
+product as :class:`Digital`, over q^L and q^t (t = deg of the modulus).
 
 Coordinates come in two representations and never mix inside one point set:
 
 * exact rationals for Halton, digital, lattice, rational-function, and
-  power-ratio constructions (:class:`UnitPoint` views carry `Fraction`s);
-* fixed-point fractional parts over 2^W for Kronecker-type constructions
-  (views carry :class:`~lowdisc.algebra.FixedPointReal`).
+  power-ratio constructions;
+* fixed-point fractional parts over 2^W for Kronecker-type constructions,
+  with one exactness flag per coordinate.
 
 A hybrid whose halves disagree coerces the exact side into the fixed-point
 width of the other side (never the reverse) and records the coercion in the
@@ -44,13 +48,10 @@ from .algebra import (
     check_index_budget,
     digits_of,
     int_array,
-    laurent_frac_eval,
-    laurent_mul_poly,
     poly_deg,
     poly_gcd,
-    poly_trim,
 )
-from .errors import LowdiscError, ValidationError
+from .errors import LowdiscError, TruncationError, ValidationError
 
 __all__ = [
     "Columns",
@@ -67,15 +68,9 @@ __all__ = [
     "RationalNet",
     "ReprTag",
     "SequenceSpec",
-    "UnitPoint",
-    "digital_kronecker_point",
-    "digital_point",
     "digitsum_filtered_index",
-    "kronecker_point",
     "lattice_point_set",
-    "power_ratio_point",
     "radical_inverse",
-    "rational_net_point",
     "stream",
 ]
 
@@ -111,40 +106,6 @@ class ReprTag:
 EXACT = ReprTag("exact")
 
 
-@dataclass(frozen=True)
-class UnitPoint:
-    """A point in [0, 1)^d with a single coordinate representation."""
-
-    coords: tuple
-    tag: ReprTag
-
-    def __post_init__(self) -> None:
-        if not self.coords:
-            raise ValidationError("a point needs at least one coordinate")
-        if self.tag.kind == "exact":
-            for c in self.coords:
-                if not isinstance(c, Fraction):
-                    raise ValidationError("exact points carry Fraction coordinates")
-                if not 0 <= c < 1:
-                    raise ValidationError(f"coordinate {c} outside [0, 1)")
-        else:
-            for c in self.coords:
-                if not isinstance(c, FixedPointReal):
-                    raise ValidationError("fixed-point points carry FixedPointReal coordinates")
-                if c.width != self.tag.width or c.integer_part != 0:
-                    raise ValidationError("fixed-point coordinate does not match the point tag")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def fractions(self) -> tuple[Fraction, ...]:
-        """The represented coordinates as exact rationals."""
-        if self.tag.kind == "exact":
-            return self.coords
-        return tuple(c.frac_value for c in self.coords)
-
-
 class Columns(NamedTuple):
     """A batch of points, one integer array per axis.
 
@@ -174,8 +135,7 @@ class Columns(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class PointSet:
     """An ordered run of points sharing dimension and representation, held
-    as :class:`Columns`; ``points`` and ``rows()`` are per-point views built
-    on demand."""
+    as :class:`Columns`; ``rows()`` is a ``Fraction`` view built on demand."""
 
     spec: "SequenceSpec"
     start: int
@@ -195,23 +155,9 @@ class PointSet:
     def dim(self) -> int:
         return len(self.columns)
 
-    def _fraction_rows(self):
-        return zip(*(map(Fraction, c.tolist(), repeat(s)) for c, s in zip(self.columns, self.scales)))
-
-    @property
-    def points(self) -> tuple[UnitPoint, ...]:
-        tag = self.tag
-        if tag.kind == "exact":
-            return tuple(UnitPoint(row, tag) for row in self._fraction_rows())
-        bits = zip(*(c.tolist() for c in self.columns))
-        flags = zip(*(e.tolist() for e in self.exact))
-        return tuple(
-            UnitPoint(tuple(FixedPointReal(tag.width, v, exact=e) for v, e in zip(row, ex)), tag)
-            for row, ex in zip(bits, flags)
-        )
-
     def rows(self) -> list[tuple[Fraction, ...]]:
-        return list(self._fraction_rows())
+        fractions = (map(Fraction, c.tolist(), repeat(s)) for c, s in zip(self.columns, self.scales))
+        return list(zip(*fractions))
 
     def head(self, n: int) -> "PointSet":
         """The first n points, sharing this set's arrays."""
@@ -300,6 +246,19 @@ def _digits_value(digits: np.ndarray, q: int) -> np.ndarray:
     return value
 
 
+def _hankel_column(indices, f: LaurentSeries, depth: int) -> np.ndarray:
+    """Numerators over q^depth of {n(x) f(x)} at x = q: output digit r is
+    sum_c n_c a_(r+c+1), the Hankel matrix of the coefficients a_k of f."""
+    q = f.q
+    m = len(digits_of(indices[-1] if indices else 0, q))
+    if m and not f.is_zero and depth + m - 1 > f.known_top:
+        raise TruncationError(
+            f"requested {depth} digits but the series window ends at {f.known_top - m + 1}"
+        )
+    hankel = [[f.coefficient(r + c + 1) for c in range(m)] for r in range(depth)]
+    return _digit_column(indices, q, m, hankel)
+
+
 def _check_range(indices, size: int, what: str) -> None:
     if indices and not (indices[0] >= 0 and indices[-1] < size):
         bad = indices[0] if indices[0] < 0 else indices[-1]
@@ -311,19 +270,8 @@ def _check_range(indices, size: int, what: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-class _Family:
-    """Per-index access shared by the families.
-
-    ``batch(indices)`` takes an increasing sequence of Python ints and
-    returns :class:`Columns`; point n is row 0 of the batch ``(n,)``.
-    """
-
-    def point(self, n: int) -> UnitPoint:
-        return PointSet(self, n, 1, *self.batch((n,))).points[0]
-
-
 @dataclass(frozen=True)
-class Kronecker(_Family):
+class Kronecker:
     """({n a_1}, ..., {n a_d}) for fixed-point carriers a_j of common width."""
 
     alphas: tuple[FixedPointReal, ...]
@@ -361,7 +309,7 @@ class Kronecker(_Family):
 
 
 @dataclass(frozen=True)
-class Halton(_Family):
+class Halton:
     """Coordinate j is the radical inverse of n in base b_j."""
 
     bases: tuple[int, ...]
@@ -394,7 +342,7 @@ class Halton(_Family):
 
 
 @dataclass(frozen=True)
-class Digital(_Family):
+class Digital:
     """Digit vectors of n mapped through generating matrices over Z_q.
 
     Points are exact rationals truncated at ``precision`` digits; all
@@ -432,7 +380,7 @@ class Digital(_Family):
 
 
 @dataclass(frozen=True)
-class DigitalKronecker(_Family):
+class DigitalKronecker:
     """Fractional parts of n(x) * f_j(x) in Z_q((1/x)), evaluated at x = q."""
 
     q: int
@@ -453,19 +401,15 @@ class DigitalKronecker(_Family):
         return len(self.series)
 
     def batch(self, indices) -> Columns:
-        return Columns.from_rows([self._coords(n) for n in indices], self.dim)
-
-    def _coords(self, n: int) -> tuple[Fraction, ...]:
-        if n < 0:
+        """One Hankel digit product per series, over q^L."""
+        if indices and indices[0] < 0:
             raise ValidationError("index must be nonnegative")
-        npoly = poly_trim(digits_of(n, self.q))
-        return tuple(
-            laurent_frac_eval(laurent_mul_poly(s, npoly), self.precision) for s in self.series
-        )
+        columns = tuple(_hankel_column(indices, f, self.precision) for f in self.series)
+        return Columns(columns, (self.q**self.precision,) * self.dim, EXACT)
 
 
 @dataclass(frozen=True)
-class Lattice(_Family):
+class Lattice:
     """The N-point set with coordinate j equal to {n * a_j / N}."""
 
     size: int
@@ -491,7 +435,7 @@ class Lattice(_Family):
 
 
 @dataclass(frozen=True)
-class RationalNet(_Family):
+class RationalNet:
     """The q^t-point net {n(x) g_j(x) / f(x)} evaluated at x = q.
 
     ``modulus`` is f with deg f = t >= 1; every numerator g_j satisfies
@@ -528,21 +472,19 @@ class RationalNet(_Family):
         return len(self.numerators)
 
     def batch(self, indices) -> Columns:
+        """The digital Kronecker columns of g_j / f at precision t, over q^t;
+        2t known coefficients cover every index below q^t."""
         _check_range(indices, self.size, "net index")
-        return Columns.from_rows([self._coords(n) for n in indices], self.dim)
-
-    def _coords(self, n: int) -> tuple[Fraction, ...]:
-        t = self.degree
-        npoly = poly_trim(digits_of(n, self.q))
-        coords = []
-        for g in self.numerators:
-            series = LaurentSeries.from_rational(self.q, g, self.modulus, depth=2 * t)
-            coords.append(laurent_frac_eval(laurent_mul_poly(series, npoly), t))
-        return tuple(coords)
+        q, t = self.q, self.degree
+        columns = tuple(
+            _hankel_column(indices, LaurentSeries.from_rational(q, g, self.modulus, 2 * t), t)
+            for g in self.numerators
+        )
+        return Columns(columns, (self.size,) * self.dim, EXACT)
 
 
 @dataclass(frozen=True)
-class Hammersley(_Family):
+class Hammersley:
     """n/N prepended to the first N points of a Halton sequence."""
 
     size: int
@@ -565,7 +507,7 @@ class Hammersley(_Family):
 
 
 @dataclass(frozen=True)
-class PowerRatio(_Family):
+class PowerRatio:
     """The exact fractional parts of (p/r)^n, kept as big rationals.
 
     Floating point loses this sequence entirely beyond n of about 50, so
@@ -596,7 +538,7 @@ class PowerRatio(_Family):
 
 
 @dataclass(frozen=True)
-class DigitSumFiltered(_Family):
+class DigitSumFiltered:
     """The inner sequence evaluated along indices with even binary digit sum."""
 
     inner: "SequenceSpec"
@@ -610,7 +552,7 @@ class DigitSumFiltered(_Family):
 
 
 @dataclass(frozen=True)
-class Hybrid(_Family):
+class Hybrid:
     """Coordinate-wise concatenation of two sequences at the same index."""
 
     left: "SequenceSpec"
@@ -672,28 +614,8 @@ def _combine(a: Columns, b: Columns) -> Columns:
 
 
 # ---------------------------------------------------------------------------
-# Module-level operation aliases and streaming
+# Streaming
 # ---------------------------------------------------------------------------
-
-
-def kronecker_point(n: int, alphas) -> UnitPoint:
-    return Kronecker(tuple(alphas)).point(n)
-
-
-def digital_point(n: int, q: int, matrices, precision: int) -> UnitPoint:
-    return Digital(q, tuple(matrices), precision).point(n)
-
-
-def digital_kronecker_point(n: int, q: int, series, precision: int) -> UnitPoint:
-    return DigitalKronecker(q, tuple(series), precision).point(n)
-
-
-def rational_net_point(n: int, q: int, modulus, numerators) -> UnitPoint:
-    return RationalNet(q, poly_trim(modulus), tuple(poly_trim(g) for g in numerators)).point(n)
-
-
-def power_ratio_point(n: int, p: int, r: int) -> Fraction:
-    return PowerRatio(p, r).point(n).coords[0]
 
 
 def lattice_point_set(size: int, gens) -> PointSet:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -17,6 +18,8 @@ from lowdisc.algebra import (
     digits_of,
     fixedpoint_sqrt,
     golden_ratio_frac,
+    laurent_frac_eval,
+    laurent_mul_poly,
     mat_vec_mod_q,
 )
 from lowdisc.discrepancy import (
@@ -26,7 +29,7 @@ from lowdisc.discrepancy import (
     star_disc_1d,
     star_disc_exact,
 )
-from lowdisc.errors import PrecisionError, ValidationError
+from lowdisc.errors import PrecisionError, TruncationError, ValidationError
 from lowdisc.experiments import ExperimentPlan, run_scaling, scaling_csv
 from lowdisc.generators import (
     Digital,
@@ -41,7 +44,6 @@ from lowdisc.generators import (
     PowerRatio,
     RationalNet,
     ReprTag,
-    UnitPoint,
     digitsum_filtered_index,
     radical_inverse,
     stream,
@@ -50,18 +52,30 @@ from lowdisc.generators import (
 EXACT = ReprTag("exact")
 
 
-def reference_point(spec, n: int) -> UnitPoint:
+class Ref(NamedTuple):
+    """One reference point: its coordinates, its tag, and (fixed point only)
+    whether each coordinate is error-free."""
+
+    coords: tuple
+    tag: ReprTag
+    exact: tuple = ()
+
+
+def _series_digits(f: LaurentSeries, n: int, depth: int) -> Fraction:
+    return laurent_frac_eval(laurent_mul_poly(f, digits_of(n, f.q)), depth)
+
+
+def reference_point(spec, n: int) -> Ref:
     """Point n built one coordinate at a time from the algebra primitives,
-    sharing no code with the batch path.  Families without a closed-form
-    denominator have only their per-index formula, reached through point()."""
+    sharing no code with the batch path."""
     if isinstance(spec, Halton):
-        return UnitPoint(tuple(radical_inverse(n, b) for b in spec.bases), EXACT)
+        return Ref(tuple(radical_inverse(n, b) for b in spec.bases), EXACT)
     if isinstance(spec, Kronecker):
         w = spec.width
         for a in spec.alphas:
             check_index_budget(a, n)
-        coords = tuple(FixedPointReal(w, n * a.frac_bits % (1 << w), exact=a.exact) for a in spec.alphas)
-        return UnitPoint(coords, ReprTag("fixedpoint", w))
+        coords = tuple(Fraction(n * a.frac_bits % (1 << w), 1 << w) for a in spec.alphas)
+        return Ref(coords, ReprTag("fixedpoint", w), tuple(a.exact for a in spec.alphas))
     if isinstance(spec, Digital):
         coords = []
         for mat in spec.matrices:
@@ -69,28 +83,47 @@ def reference_point(spec, n: int) -> UnitPoint:
             for v in mat_vec_mod_q(mat, digits_of(n, spec.q), spec.precision):
                 acc = acc * spec.q + v
             coords.append(Fraction(acc, spec.q**spec.precision))
-        return UnitPoint(tuple(coords), EXACT)
+        return Ref(tuple(coords), EXACT)
+    if isinstance(spec, DigitalKronecker):
+        if n < 0:
+            raise ValidationError("index must be nonnegative")
+        return Ref(tuple(_series_digits(f, n, spec.precision) for f in spec.series), EXACT)
+    if isinstance(spec, RationalNet):
+        if not 0 <= n < spec.size:
+            raise ValidationError(f"net index {n} outside [0, {spec.size})")
+        t = spec.degree
+        series = (LaurentSeries.from_rational(spec.q, g, spec.modulus, 2 * t) for g in spec.numerators)
+        return Ref(tuple(_series_digits(f, n, t) for f in series), EXACT)
     if isinstance(spec, Lattice):
-        return UnitPoint(tuple(Fraction(n * g % spec.size, spec.size) for g in spec.gens), EXACT)
+        return Ref(tuple(Fraction(n * g % spec.size, spec.size) for g in spec.gens), EXACT)
     if isinstance(spec, Hammersley):
         tail = tuple(radical_inverse(n, b) for b in spec.bases)
-        return UnitPoint((Fraction(n, spec.size),) + tail, EXACT)
+        return Ref((Fraction(n, spec.size),) + tail, EXACT)
+    if isinstance(spec, PowerRatio):
+        return Ref((Fraction(spec.p**n, spec.r**n) % 1,), EXACT)
     if isinstance(spec, DigitSumFiltered):
         return reference_point(spec.inner, digitsum_filtered_index(n))
     if isinstance(spec, Hybrid):
         a, b = reference_point(spec.left, n), reference_point(spec.right, n)
         coerced = a.tag.coerced or b.tag.coerced
         if a.tag.kind == b.tag.kind:
-            return UnitPoint(a.coords + b.coords, ReprTag(a.tag.kind, a.tag.width, coerced))
+            return Ref(a.coords + b.coords, ReprTag(a.tag.kind, a.tag.width, coerced), a.exact + b.exact)
         w = (a if a.tag.kind == "fixedpoint" else b).tag.width
 
         def fixed(p):
             if p.tag.kind == "fixedpoint":
-                return p.coords
-            return tuple(FixedPointReal.from_fraction(c, w) for c in p.coords)
+                return p.coords, p.exact
+            carriers = [FixedPointReal.from_fraction(c, w) for c in p.coords]
+            return tuple(c.frac_value for c in carriers), tuple(c.exact for c in carriers)
 
-        return UnitPoint(fixed(a) + fixed(b), ReprTag("fixedpoint", w, coerced=True))
-    return spec.point(n)
+        (ca, ea), (cb, eb) = fixed(a), fixed(b)
+        return Ref(ca + cb, ReprTag("fixedpoint", w, coerced=True), ea + eb)
+    raise TypeError(f"no reference for {spec!r}")
+
+
+def _as_refs(ps: PointSet) -> list[Ref]:
+    flags = list(zip(*(e.tolist() for e in ps.exact))) or [()] * ps.count
+    return [Ref(row, ps.tag, ex) for row, ex in zip(ps.rows(), flags)]
 
 
 ONES3 = GenMatrix.ones_first_row(3)
@@ -105,6 +138,9 @@ FAMILIES = {
     ),
     "digital-past-int64": Digital(2, (ID2, GenMatrix.from_rows(2, [(1, 1), (0, 1, 1)])), 70),
     "digital-kronecker": DigitalKronecker(2, (LaurentSeries.from_rational(2, (1,), (1, 1, 1), 40),), 16),
+    "digital-kronecker-window": DigitalKronecker(
+        3, (LaurentSeries.make(3, -1, (2, 0, 1, 1, 2, 0, 2, 1, 1, 0, 2, 2, 1)), LaurentSeries.zero(3)), 5
+    ),
     "lattice": Lattice(89, (1, 55)),
     "rational-net": RationalNet(2, (1, 1, 0, 0, 0, 0, 1), ((1,), (1, 1))),
     "hammersley": Hammersley(60, (2, 3)),
@@ -123,21 +159,21 @@ FAMILIES = {
 def test_batch_equals_per_index(name, start, count):
     spec = FAMILIES[name]
     ps = stream(spec, start, count)
-    want = tuple(reference_point(spec, n) for n in range(start, start + count))
-    assert ps.points == want
-    assert ps.points == tuple(spec.point(n) for n in range(start, start + count))
-    assert ps.rows() == [p.fractions() for p in want]
-    assert ps.tag == want[0].tag and ps.dim == spec.dim
+    want = [reference_point(spec, n) for n in range(start, start + count)]
+    assert _as_refs(ps) == want
+    assert [r for n in range(start, start + count) for r in _as_refs(stream(spec, n, 1))] == want
+    assert ps.dim == spec.dim
 
 
 def test_batch_exact_past_int64():
     """Numerators over q^L >= 2^63, and indices past 2^63, stay exact."""
     deep = Digital(3, (ONES3,), 45)
+    deep_dk = DigitalKronecker(3, (LaurentSeries.from_rational(3, (1, 2), (2, 0, 1, 1), 120),), 45)
     far = Halton((2, 3))
-    for spec, start in ((deep, 1000), (FAMILIES["digital-past-int64"], 3), (far, 2**70)):
+    for spec, start in ((deep, 1000), (FAMILIES["digital-past-int64"], 3), (deep_dk, 1000), (far, 2**70)):
         ps = stream(spec, start, 12)
         assert all(c.dtype == object for c in ps.columns)
-        assert ps.points == tuple(reference_point(spec, n) for n in range(start, start + 12))
+        assert _as_refs(ps) == [reference_point(spec, n) for n in range(start, start + 12)]
 
 
 def test_hybrid_coercion_flags_and_mode():
@@ -145,11 +181,11 @@ def test_hybrid_coercion_flags_and_mode():
     ps = stream(spec, 0, 4)
     assert ps.tag.as_text() == "fixedpoint(96)+coerced"
     # 0 coerces exactly, 1/3 and 2/3 do not; the rotation keeps its own flag
-    assert [p.coords[0].exact for p in ps.points] == [True, False, False, False]
-    assert [p.coords[0].exact for p in ps.points[:3]] == [
+    assert ps.exact[0].tolist() == [True, False, False, False]
+    assert ps.exact[0].tolist()[:3] == [
         FixedPointReal.from_fraction(radical_inverse(n, 3), 96).exact for n in range(3)
     ]
-    assert not any(p.coords[1].exact for p in ps.points)
+    assert not ps.exact[1].any()
     assert compute_discrepancy(ps).mode == "exact-represented"
     assert compute_discrepancy(stream(FAMILIES["hybrid-exact-pair"], 0, 9)).mode == "exact"
 
@@ -179,7 +215,13 @@ def test_batch_raises_what_the_first_failing_index_raises():
     filtered = DigitSumFiltered(narrow)
     first = next(k for k in range(200) if digitsum_filtered_index(k) >= 256)
     _same_error(PrecisionError, lambda: stream(filtered, 100, 50), lambda: reference_point(filtered, first))
-    _same_error(ValidationError, lambda: stream(Lattice(5, (1, 2)), 3, 4), lambda: Lattice(5, (1, 2)).point(5))
+    _same_error(ValidationError, lambda: stream(Lattice(5, (1, 2)), 3, 4), lambda: Lattice(5, (1, 2)).batch((5,)))
+    # the known window x^-1 .. x^-6 holds L + m - 1 = 6 digits: indices below 16 (m <= 4) pass
+    window = DigitalKronecker(2, (LaurentSeries.make(2, 1, (1, 0, 1, 1, 0, 1)),), 3)
+    assert stream(window, 10, 6).count == 6
+    _same_error(TruncationError, lambda: stream(window, 10, 20), lambda: reference_point(window, 16))
+    shifted = Hybrid(Halton((3,)), DigitalKronecker(2, (LaurentSeries.make(2, 3, (1, 1, 0, 1)),), 2))
+    _same_error(TruncationError, lambda: stream(shifted, 1, 40), lambda: reference_point(shifted, 32))
 
 
 # -- scaling tables read prefixes ---------------------------------------------------

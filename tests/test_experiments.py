@@ -221,9 +221,8 @@ def test_random_digital_specs_are_deterministic():
     b = random_digital_spec(3, 2, 4096, seed=5)
     assert stream(a, 0, 16).rows() == stream(b, 0, 16).rows()
     fr = random_finite_row_digital_spec(3, 2, 4096, seed=5)
-    assert all(m.finite_rows for m in fr.matrices)
-    for p in stream(fr, 0, 32).points:
-        for c in p.fractions():
+    for p in stream(fr, 0, 32).rows():
+        for c in p:
             assert 0 <= c < 1
 
 
@@ -248,8 +247,7 @@ def test_preset_op9_shape():
     plan = preset("op9-vdc-sqrt2")
     assert isinstance(plan.spec, Hybrid)
     assert plan.spec.dim == 2
-    first = plan.spec.point(0)
-    assert first.fractions() == (Fraction(0), Fraction(0))
+    assert stream(plan.spec, 0, 1).rows()[0] == (Fraction(0), Fraction(0))
     assert plan.spec.right.alphas[0].width == 192
 
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib
 import io
+import pkgutil
 import random
 from fractions import Fraction
 from math import isqrt
@@ -25,17 +27,17 @@ from lowdisc.generators import (
     Lattice,
     PowerRatio,
     RationalNet,
-    digital_kronecker_point,
-    digital_point,
     digitsum_filtered_index,
-    kronecker_point,
     lattice_point_set,
-    power_ratio_point,
     radical_inverse,
-    rational_net_point,
     stream,
 )
 from lowdisc.pointio import parse_spec, read_points, spec_to_string, write_points
+
+
+def row(spec, n: int) -> tuple[Fraction, ...]:
+    """Point n of a sequence, as exact rationals."""
+    return stream(spec, n, 1).rows()[0]
 
 
 def radical_inverse_by_definition(n: int, base: int) -> Fraction:
@@ -80,30 +82,26 @@ def test_radical_inverse_validation():
 
 def test_kronecker_examples():
     sqrt2 = fixedpoint_sqrt(2, 64)
-    origin = kronecker_point(0, (sqrt2,))
-    assert origin.fractions() == (Fraction(0),)
+    assert row(Kronecker((sqrt2,)), 0) == (Fraction(0),)
 
     quarter = FixedPointReal.from_fraction(Fraction(1, 4), 8)
-    assert kronecker_point(2, (quarter,)).fractions() == (Fraction(1, 2),)
+    assert row(Kronecker((quarter,)), 2) == (Fraction(1, 2),)
 
-    pt = kronecker_point(5, (sqrt2,))
-    assert pt.fractions()[0] == Fraction((5 * sqrt2.frac_bits) % (1 << 64), 1 << 64)
+    (x,) = row(Kronecker((sqrt2,)), 5)
+    assert x == Fraction((5 * sqrt2.frac_bits) % (1 << 64), 1 << 64)
     ref = Fraction((5 * fixedpoint_sqrt(2, 256).frac_bits) % (1 << 256), 1 << 256)
-    assert abs(pt.fractions()[0] - ref) <= Fraction(5, 1 << 64)
+    assert abs(x - ref) <= Fraction(5, 1 << 64)
 
 
 def test_kronecker_exact_rational_reproduces_fractional_parts():
     alpha = FixedPointReal.from_fraction(Fraction(3, 8), 16)
-    for n in range(200):
-        got = kronecker_point(n, (alpha,)).fractions()[0]
-        want = Fraction(3 * n, 8) % 1
-        assert got == want
+    assert stream(Kronecker((alpha,)), 0, 200).rows() == [(Fraction(3 * n, 8) % 1,) for n in range(200)]
 
 
 def test_kronecker_budget_and_width_checks():
     sqrt2 = fixedpoint_sqrt(2, 40)
     with pytest.raises(PrecisionError):
-        kronecker_point(1 << 20, (sqrt2,))
+        stream(Kronecker((sqrt2,)), 1 << 20, 1)
     with pytest.raises(ValidationError):
         Kronecker((fixedpoint_sqrt(2, 64), fixedpoint_sqrt(3, 128)))
 
@@ -113,17 +111,17 @@ def test_kronecker_budget_and_width_checks():
 
 def test_digital_examples():
     ident = GenMatrix.identity(2)
-    assert digital_point(3, 2, (ident,), 8).fractions() == (Fraction(3, 4),)
-    assert digital_point(0, 2, (ident,), 8).fractions() == (Fraction(0),)
+    assert row(Digital(2, (ident,), 8), 3) == (Fraction(3, 4),)
+    assert row(Digital(2, (ident,), 8), 0) == (Fraction(0),)
     ones = GenMatrix.ones_first_row(3)
-    assert digital_point(4, 3, (ones,), 2).fractions() == (Fraction(7, 9),)
+    assert row(Digital(3, (ones,), 2), 4) == (Fraction(7, 9),)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_digital_identity_equals_radical_inverse(q):
     spec = Digital(q, (GenMatrix.identity(q),), precision=10)
-    for n in range(min(q**10, 2000)):
-        assert spec.point(n).fractions()[0] == radical_inverse(n, q)
+    count = min(q**10, 2000)
+    assert stream(spec, 0, count).rows() == [(radical_inverse(n, q),) for n in range(count)]
 
 
 # -- digital Kronecker ----------------------------------------------------------
@@ -132,25 +130,25 @@ def test_digital_identity_equals_radical_inverse(q):
 def test_digital_kronecker_examples():
     f = LaurentSeries.make(2, 1, (1, 0, 0))  # x^-1, window down to x^-3
     spec = DigitalKronecker(2, (f,), precision=2)
-    assert spec.point(0).fractions() == (Fraction(0),)
-    assert spec.point(3).fractions() == (Fraction(1, 2),)  # {(1+x) x^-1} = x^-1
+    assert row(spec, 0) == (Fraction(0),)
+    assert row(spec, 3) == (Fraction(1, 2),)  # {(1+x) x^-1} = x^-1
 
 
 def test_digital_kronecker_truncation_guard():
     f = LaurentSeries.make(2, 1, (1,))
     spec = DigitalKronecker(2, (f,), precision=1)
-    assert spec.point(1).fractions() == (Fraction(1, 2),)
+    assert row(spec, 1) == (Fraction(1, 2),)
     with pytest.raises(TruncationError):
-        spec.point(2)  # multiplying by x shifts the window above the request
+        row(spec, 2)  # multiplying by x shifts the window above the request
 
 
 # -- rational net ---------------------------------------------------------------
 
 
 def test_rational_net_examples():
-    assert rational_net_point(0, 2, (0, 1), ((1,),)).fractions() == (Fraction(0),)
-    assert rational_net_point(1, 2, (0, 1), ((1,),)).fractions() == (Fraction(1, 2),)
-    assert rational_net_point(1, 2, (1, 1, 1), ((1,),)).fractions() == (Fraction(1, 4),)
+    assert row(RationalNet(2, (0, 1), ((1,),)), 0) == (Fraction(0),)
+    assert row(RationalNet(2, (0, 1), ((1,),)), 1) == (Fraction(1, 2),)
+    assert row(RationalNet(2, (1, 1, 1), ((1,),)), 1) == (Fraction(1, 4),)
 
 
 def test_rational_net_validation():
@@ -161,7 +159,7 @@ def test_rational_net_validation():
     with pytest.raises(ValidationError):
         RationalNet(2, (0, 0, 1), ((0, 1),))  # gcd(x, x^2) != 1
     with pytest.raises(ValidationError):
-        rational_net_point(4, 2, (0, 1), ((1,),))  # index beyond q^t
+        row(RationalNet(2, (0, 1), ((1,),)), 4)  # index beyond q^t
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
@@ -173,8 +171,7 @@ def test_rational_net_matches_digital_kronecker_for_power_modulus(t):
         net = RationalNet(q, modulus, (g,))
         series = LaurentSeries.from_rational(q, g, modulus, depth=2 * t)
         dk = DigitalKronecker(q, (series,), precision=t)
-        for n in range(q**t):
-            assert net.point(n).fractions() == dk.point(n).fractions()
+        assert stream(net, 0, q**t).rows() == stream(dk, 0, q**t).rows()
 
 
 # -- lattice --------------------------------------------------------------------
@@ -182,8 +179,8 @@ def test_rational_net_matches_digital_kronecker_for_power_modulus(t):
 
 def test_lattice_examples():
     ps = lattice_point_set(5, (1, 2))
-    assert ps.points[3].fractions() == (Fraction(3, 5), Fraction(1, 5))
-    assert [p.fractions() for p in ps.points] == [
+    assert ps.rows()[3] == (Fraction(3, 5), Fraction(1, 5))
+    assert ps.rows() == [
         (Fraction(0), Fraction(0)),
         (Fraction(1, 5), Fraction(2, 5)),
         (Fraction(2, 5), Fraction(4, 5)),
@@ -192,27 +189,27 @@ def test_lattice_examples():
     ]
     single = lattice_point_set(1, (0,))
     assert single.count == 1
-    assert single.points[0].fractions() == (Fraction(0),)
+    assert single.rows()[0] == (Fraction(0),)
 
 
 def test_lattice_first_coordinate_and_validation():
     ps = lattice_point_set(7, (1, 3))
-    for n, p in enumerate(ps.points):
-        assert p.fractions()[0] == Fraction(n, 7)
+    for n, p in enumerate(ps.rows()):
+        assert p[0] == Fraction(n, 7)
     assert ps.count == 7
     with pytest.raises(ValidationError):
         Lattice(5, (5,))
     with pytest.raises(ValidationError):
-        Lattice(5, (1,)).point(5)
+        row(Lattice(5, (1,)), 5)
 
 
 # -- power ratio ------------------------------------------------------------------
 
 
 def test_power_ratio_examples():
-    assert power_ratio_point(0, 3, 2) == 0
-    assert power_ratio_point(2, 3, 2) == Fraction(1, 4)
-    assert power_ratio_point(5, 3, 2) == Fraction(19, 32)
+    assert row(PowerRatio(3, 2), 0) == (Fraction(0),)
+    assert row(PowerRatio(3, 2), 2) == (Fraction(1, 4),)
+    assert row(PowerRatio(3, 2), 5) == (Fraction(19, 32),)
     with pytest.raises(ValidationError):
         PowerRatio(2, 3)
     with pytest.raises(ValidationError):
@@ -241,24 +238,25 @@ def test_digitsum_filtered_index_matches_brute_force():
 
 def test_hybrid_concatenation_and_coercion():
     spec = Hybrid(Halton((2,)), Kronecker((fixedpoint_sqrt(2, 128),)))
-    p1 = spec.point(1)
+    p1 = stream(spec, 1, 1)
     assert p1.tag.kind == "fixedpoint" and p1.tag.width == 128 and p1.tag.coerced
-    assert p1.fractions()[0] == Fraction(1, 2)  # dyadic rational coerced exactly
-    assert p1.fractions()[1] == fixedpoint_sqrt(2, 128).frac_value
+    assert p1.rows()[0][0] == Fraction(1, 2)  # dyadic rational coerced exactly
+    assert p1.exact[0].tolist() == [True]
+    assert p1.rows()[0][1] == fixedpoint_sqrt(2, 128).frac_value
 
 
 def test_hybrid_exact_pair_stays_exact():
     spec = Hybrid(Halton((2,)), Halton((3,)))
-    p = spec.point(5)
+    p = stream(spec, 5, 1)
     assert p.tag.kind == "exact" and not p.tag.coerced
-    assert p.fractions() == (Fraction(5, 8), Fraction(7, 9))
+    assert p.rows()[0] == (Fraction(5, 8), Fraction(7, 9))
 
 
 def test_hybrid_width_mismatch_rejected():
     left = Kronecker((fixedpoint_sqrt(2, 64),))
     right = Kronecker((fixedpoint_sqrt(3, 128),))
     with pytest.raises(ValidationError):
-        Hybrid(left, right).point(1)
+        row(Hybrid(left, right), 1)
 
 
 def test_hybrid_digital_pair_dimension():
@@ -267,19 +265,19 @@ def test_hybrid_digital_pair_dimension():
         Digital(2, (GenMatrix.identity(2),), 8),
     )
     assert spec.dim == 2
-    assert spec.point(0).fractions() == (Fraction(0), Fraction(0))
+    assert row(spec, 0) == (Fraction(0), Fraction(0))
 
 
 def test_hammersley_full_set():
     ps = stream(Hammersley(4, (2,)), 0, 4)
-    assert [p.fractions() for p in ps.points] == [
+    assert ps.rows() == [
         (Fraction(0), Fraction(0)),
         (Fraction(1, 4), Fraction(1, 2)),
         (Fraction(1, 2), Fraction(1, 4)),
         (Fraction(3, 4), Fraction(3, 4)),
     ]
     with pytest.raises(ValidationError):
-        Hammersley(4, (2,)).point(4)
+        row(Hammersley(4, (2,)), 4)
 
 
 @pytest.mark.parametrize(
@@ -296,21 +294,21 @@ def test_stream_index_stability(spec):
     whole = stream(spec, 0, 24)
     first = stream(spec, 0, 10)
     rest = stream(spec, 10, 14)
-    assert whole.points == first.points + rest.points
+    assert whole.rows() == first.rows() + rest.rows()
+    assert whole.tag == first.tag == rest.tag
+    assert [e.tolist() for e in whole.exact] == [a.tolist() + b.tolist() for a, b in zip(first.exact, rest.exact)]
 
 
 def test_stream_coordinates_stay_in_unit_interval():
-    rng = random.Random(99)
     specs = [
         Halton((2, 5)),
         Digital(3, (GenMatrix.random_uniform(3, 12, seed=4),), 10),
         Kronecker((fixedpoint_sqrt(5, 80),)),
     ]
     for spec in specs:
-        for p in stream(spec, 0, 64).points:
-            for c in p.fractions():
+        for p in stream(spec, 0, 64).rows():
+            for c in p:
                 assert 0 <= c < 1
-    assert rng  # keep the rng around for future extensions
 
 
 # -- spec strings and point files -----------------------------------------------------
@@ -424,3 +422,15 @@ def test_isqrt_reference_for_sqrt_tokens():
     spec = parse_spec("kronecker:width=64,alphas=sqrt2")
     alpha = spec.alphas[0]
     assert alpha.scaled == isqrt(2 << 128)
+
+
+# -- package exports --------------------------------------------------------------------
+
+
+def test_every_exported_name_exists():
+    import lowdisc
+
+    for info in pkgutil.iter_modules(lowdisc.__path__):
+        module = importlib.import_module(f"lowdisc.{info.name}")
+        stale = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not stale, f"lowdisc.{info.name}.__all__ names missing attributes: {stale}"
