@@ -26,7 +26,7 @@ from .diophantine import (
     schmidt_count,
     zaremba_scan,
 )
-from .discrepancy import compute_discrepancy
+from .discrepancy import DEFAULT_WORK_BUDGET, compute_discrepancy
 from .errors import BudgetError, ValidationError
 from .experiments import (
     ExperimentPlan,
@@ -266,8 +266,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="point file, or - for stdin")
     p.add_argument("--kind", choices=("star", "extreme"), default="star")
     p.add_argument("--algo", choices=("auto", "1d", "2d", "grid", "bracket"), default="auto")
-    p.add_argument("--k", type=int, default=512, help="bracket resolution")
-    p.add_argument("--budget", type=int, default=10**8)
+    p.add_argument("--k", type=int, default=512,
+                   help="bracket resolution; auto may lower it in d >= 3 to fit its cell cap")
+    p.add_argument("--budget", type=int, default=DEFAULT_WORK_BUDGET,
+                   help="most grid cells a kernel may visit (corners, corner pairs or lattice points)")
     p.add_argument("--out")
     p.add_argument("--decimal", type=int, default=None)
     p.set_defaults(func=_cmd_disc)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .algebra import FixedPointReal
+from .algebra import FixedPointReal, check_index_budget
 from .errors import PrecisionError, ValidationError
 
 __all__ = [
@@ -305,10 +305,7 @@ def littlewood_scan(alpha: FixedPointReal, beta: FixedPointReal, n_max: int) -> 
     mask = (1 << w) - 1
     half = 1 << w
     for carrier in (alpha, beta):
-        if not carrier.exact and n_max >= 1 << max(0, w - 32):
-            raise PrecisionError(
-                f"n_max {n_max} too large for width {w} (needs 32 clean fractional bits)"
-            )
+        check_index_budget(carrier, n_max)
     best: tuple[int, int] | None = None
     for n in range(1, n_max + 1):
         fa = (n * alpha.frac_bits) & mask

@@ -71,8 +71,18 @@ __all__ = [
     "star_disc_exact",
 ]
 
+# Work is counted in cells of the grid a kernel visits: corners of the
+# critical grid, corner pairs of the extreme grid, lattice corners of a
+# bracket.  ``auto`` runs exact while N^d (N^2d for the extreme kind) is at
+# most AUTO_EXACT_CAP, and brackets at a resolution whose lattice fits it.
 DEFAULT_WORK_BUDGET = 10**8
 AUTO_EXACT_CAP = 10**7
+
+
+def _check_cells(grid: str, cells: int, budget: int) -> None:
+    """Refuse a grid of more than ``budget`` cells before anything is built."""
+    if cells > budget:
+        raise BudgetError(f"{grid} has {cells} cells, beyond the budget of {budget}")
 
 
 @dataclass(frozen=True)
@@ -334,37 +344,30 @@ def _critical_grid(columns, scales) -> tuple[list[list[int]], np.ndarray]:
     return corners, np.stack(closed, axis=1).astype(np.int64)
 
 
+def _exact_star(columns, scales, mode: str, work_budget: int) -> DiscrepancyResult:
+    corners, closed = _critical_grid(columns, scales)
+    _check_cells("critical grid", math.prod(len(c) for c in corners), work_budget)
+    value = _star_kernel(corners, scales, closed, closed + 1)
+    return DiscrepancyResult("star", mode, len(columns[0]), len(columns), value=value)
+
+
 def star_disc_exact(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> DiscrepancyResult:
     """Exact star discrepancy over the critical corner grid.
 
     Candidate upper corners run over the per-axis coordinate values plus 1;
-    each corner is evaluated with strict and closed counting.  The budgeted
-    work is corners * N * d and is rejected beyond ``work_budget``.
+    each corner is evaluated with strict and closed counting.  A grid of
+    more than ``work_budget`` corners is refused.
     """
-    columns, scales, mode = _normalize(points)
-    n, d = len(columns[0]), len(columns)
-    corners, closed = _critical_grid(columns, scales)
-    count = math.prod(len(c) for c in corners)
-    if count * n * d > work_budget:
-        raise BudgetError(
-            f"critical grid needs {count * n * d} point-coordinate checks, "
-            f"beyond the budget of {work_budget}"
-        )
-    value = _star_kernel(corners, scales, closed, closed + 1)
-    return DiscrepancyResult("star", mode, n, d, value=value)
+    return _exact_star(*_normalize(points), work_budget)
 
 
 def star_disc_2d_sweep(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> DiscrepancyResult:
-    """Exact 2D star discrepancy, budgeted at N^2 steps.  Same kernel and
-    value as :func:`star_disc_exact`."""
+    """Exact 2D star discrepancy: :func:`star_disc_exact` restricted to
+    two-dimensional points."""
     columns, scales, mode = _normalize(points)
     if len(columns) != 2:
         raise ValidationError("star_disc_2d_sweep needs two-dimensional points")
-    n = len(columns[0])
-    if n * n > work_budget:
-        raise BudgetError(f"sweep needs ~{n * n} steps, beyond the budget of {work_budget}")
-    corners, closed = _critical_grid(columns, scales)
-    return DiscrepancyResult("star", mode, n, 2, value=_star_kernel(corners, scales, closed, closed + 1))
+    return _exact_star(columns, scales, mode, work_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +396,8 @@ def extreme_disc_grid(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> Disc
     Lower corners run over the per-axis coordinate values plus 0, upper
     corners over the values plus 1; each box is evaluated with open and
     closed counting.  The pair grid is squared relative to the star case, so
-    this is only affordable for small sets; the work bound is
-    pairs * N * d.
+    this is only affordable for small sets; a grid of more than
+    ``work_budget`` pairs is refused.
 
     On the critical grid (corners ``c_0 < c_1 < ...`` of an axis), the
     count of ``x < c_i`` is the count of ``x <= c_{i-1}``, so one closed
@@ -414,11 +417,7 @@ def extreme_disc_grid(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> Disc
     # lower l < m - 1, upper u >= s, l <= u: all (l, u) less those with s <= u < l <= m - 2
     pair_count = math.prod((len(cs) - 1) * (len(cs) - s) - math.comb(len(cs) - 1 - s, 2)
                            for cs, s in zip(corners, starts))
-    if pair_count * n * d > work_budget:
-        raise BudgetError(
-            f"extreme enumeration needs {pair_count * n * d} point-coordinate checks, "
-            f"beyond the budget of {work_budget}"
-        )
+    _check_cells("corner-pair grid", pair_count, work_budget)
     extents, closed_bounds, open_bounds = [], [], []
     for cs, s in zip(corners, starts):
         lo, up = np.triu_indices(len(cs))
@@ -450,20 +449,19 @@ def extreme_disc_grid(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> Disc
 # ---------------------------------------------------------------------------
 
 
-def star_disc_bracket(points, k: int, *, max_cells: int = 2**26) -> DiscrepancyResult:
+def star_disc_bracket(points, k: int, *, work_budget: int = DEFAULT_WORK_BUDGET) -> DiscrepancyResult:
     """Enclose the star discrepancy in ``[m, m + d/k]`` where m is the exact
     maximum of the discrepancy function over the corner lattice {0..k}^d / k.
 
     The volume is 1-Lipschitz per coordinate and the counts are monotone, so
-    the true supremum exceeds the lattice maximum by at most d/k.
+    the true supremum exceeds the lattice maximum by at most d/k.  A lattice
+    of more than ``work_budget`` corners, (k + 1)^d, is refused.
     """
     columns, scales, _ = _normalize(points)  # brackets certify an interval; callers note the representation
     if k < 2:
         raise ValidationError("bracket resolution must be >= 2")
     n, d = len(columns[0]), len(columns)
-    cells = (k + 1) ** d
-    if cells > max_cells:
-        raise BudgetError(f"bracket lattice has {cells} cells, beyond the cap of {max_cells}")
+    _check_cells("bracket lattice", (k + 1) ** d, work_budget)
     # corner i/k holds x in its closed box iff ceil(xk) <= i, in its open box iff floor(xk) < i
     floor, ceil = [], []
     for col, scale in zip(columns, scales):
@@ -545,14 +543,15 @@ def compute_discrepancy(
     k: int = 512,
     *,
     work_budget: int = DEFAULT_WORK_BUDGET,
-    auto_exact_cap: int = AUTO_EXACT_CAP,
 ) -> DiscrepancyResult:
     """Route a point set to a discrepancy algorithm.
 
-    ``auto`` picks the cheapest exact algorithm whose work stays under
-    ``auto_exact_cap`` and falls back to the bracket at resolution ``k`` for
-    the star kind; there is no bracketed variant of the extreme kind.
-    Explicit algorithm choices are honored against ``work_budget`` and fail
+    ``auto`` uses the 1D closed forms in d = 1.  In d >= 2 it runs the exact
+    kernel while N^d (N^2d for the extreme kind) is at most
+    ``AUTO_EXACT_CAP``; beyond that it brackets the star kind at the largest
+    resolution up to ``k`` whose lattice of (k + 1)^d corners fits the same
+    cap, and refuses the extreme kind, which has no bracket.  Every kernel,
+    chosen or explicit, refuses a grid of more than ``work_budget`` cells
     with :class:`~lowdisc.errors.BudgetError` instead of degrading.
     """
     n, d = _size(points)
@@ -562,36 +561,29 @@ def compute_discrepancy(
         raise ValidationError(f"unknown discrepancy kind {kind!r}")
     if algo not in ("auto", "1d", "2d", "grid", "bracket"):
         raise ValidationError(f"unknown algorithm {algo!r}")
+    if algo == "1d" or (algo == "auto" and d == 1):
+        return (star_disc_1d if kind == "star" else extreme_disc_1d)(points)
 
     if kind == "extreme":
         if algo == "bracket":
             raise ValidationError("no bracketed variant of the extreme discrepancy")
         if algo == "2d":
             raise ValidationError("the 2D sweep computes the star kind only")
-        if algo == "1d" or (algo == "auto" and d == 1):
-            return extreme_disc_1d(points)
-        if algo == "grid":
-            return extreme_disc_grid(points, work_budget=work_budget)
-        pair_bound = math.prod((n + 2) ** 2 for _ in range(d)) * n * d
-        if pair_bound <= auto_exact_cap:
-            return extreme_disc_grid(points, work_budget=work_budget)
-        raise BudgetError(
-            "exact extreme discrepancy beyond the auto budget and no bracket exists; "
-            "pass algo='grid' with an explicit work budget to force it"
-        )
+        if algo == "auto":
+            grid = "extreme grid estimate N^2d (no bracket exists; pass algo='grid')"
+            _check_cells(grid, n ** (2 * d), AUTO_EXACT_CAP)
+        return extreme_disc_grid(points, work_budget=work_budget)
 
-    if algo == "1d":
-        return star_disc_1d(points)
+    if algo == "auto":
+        if n**d <= AUTO_EXACT_CAP:
+            algo = "2d" if d == 2 else "grid"
+        else:
+            side = int(AUTO_EXACT_CAP ** (1 / d)) + 1
+            while side**d > AUTO_EXACT_CAP:  # the largest lattice side whose side^d fits
+                side -= 1
+            algo, k = "bracket", min(k, max(side - 1, 2))
     if algo == "2d":
         return star_disc_2d_sweep(points, work_budget=work_budget)
     if algo == "grid":
         return star_disc_exact(points, work_budget=work_budget)
-    if algo == "bracket":
-        return star_disc_bracket(points, k)
-    if d == 1:
-        return star_disc_1d(points)
-    if d == 2 and n * n <= auto_exact_cap:
-        return star_disc_2d_sweep(points, work_budget=work_budget)
-    if d >= 3 and (n + 1) ** d * n * d <= auto_exact_cap:
-        return star_disc_exact(points, work_budget=work_budget)
-    return star_disc_bracket(points, k)
+    return star_disc_bracket(points, k, work_budget=work_budget)

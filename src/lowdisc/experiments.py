@@ -253,7 +253,6 @@ def lattice_scan(
     count: int | None = None,
     seed: int | None = None,
     max_vectors: int = 200_000,
-    work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> LatticeScanSummary:
     """Distribution of the star discrepancy over lattice generating vectors.
 
@@ -287,7 +286,7 @@ def lattice_scan(
     evaluated: list[tuple[Fraction, tuple[int, ...]]] = []
     for gens in vectors:
         points = lattice_point_set(size, gens)
-        value = compute_discrepancy(points, algo=algo, work_budget=work_budget).value
+        value = compute_discrepancy(points, algo=algo).value
         evaluated.append((value, gens))
     values = sorted(v for v, _ in evaluated)
     m = len(values)

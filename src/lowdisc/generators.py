@@ -37,7 +37,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from typing import NamedTuple
 
 import numpy as np
 
@@ -106,7 +105,8 @@ class ReprTag:
 EXACT = ReprTag("exact")
 
 
-class Columns(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class Columns:
     """A batch of points, one integer array per axis.
 
     Coordinate j of point i is ``columns[j][i] / scales[j]``.  An array is
@@ -634,4 +634,4 @@ def stream(spec: SequenceSpec, start: int, count: int) -> PointSet:
         for n in indices:  # raise what the first failing index raises alone
             spec.batch((n,))
         raise
-    return PointSet(spec, start, count, *batch)
+    return PointSet(spec, start, count, batch.columns, batch.scales, batch.tag, batch.exact)

@@ -85,7 +85,13 @@ def test_a2_construction_identities():
             net = RationalNet(q, modulus, (g,))
             series = LaurentSeries.from_rational(q, g, modulus, depth=2 * t)
             dk = DigitalKronecker(q, (series,), precision=t)
-            assert stream(net, 0, q**t).rows() == stream(dk, 0, q**t).rows()
+            rows = stream(net, 0, q**t).rows()
+            assert rows == stream(dk, 0, q**t).rows()
+            # closed form: n(x) g(x) mod x^t, coefficients mod q, read at x = q, over q^t
+            for n, (x,) in enumerate(rows):
+                digits = [n // q**i % q for i in range(t)]
+                coeffs = [sum(digits[i] * g[c - i] for i in range(c + 1)) % q for c in range(t)]
+                assert x == Fraction(sum(c * q**i for i, c in enumerate(coeffs)), q**t)
             pairs += q**t
     _announce("A2", f"construction identities (4096 radical-inverse points, {pairs} net points)")
 

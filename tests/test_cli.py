@@ -118,6 +118,8 @@ def test_disc_bracket_and_budget_exit_codes(tmp_path):
 
     code, _, err = run_cli("disc", "--in", str(pts), "--algo", "2d", "--budget", "10")
     assert code == 3 and "budget" in err.lower()
+    code, _, err = run_cli("disc", "--in", str(pts), "--algo", "bracket", "--k", "32", "--budget", "100")
+    assert code == 3 and "bracket lattice has 1089 cells" in err
 
 
 def test_validation_exit_codes(tmp_path):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from lowdisc import discrepancy
 from lowdisc.discrepancy import (
     DiscrepancyResult,
     brute_force_oracle,
@@ -239,7 +240,7 @@ def test_bracket_validation_and_budget():
     with pytest.raises(ValidationError):
         star_disc_bracket(rows, 1)
     with pytest.raises(BudgetError):
-        star_disc_bracket(rows, 2**14, max_cells=1000)
+        star_disc_bracket(rows, 2**14, work_budget=1000)
 
 
 def test_budget_errors_for_exact_paths():
@@ -251,6 +252,65 @@ def test_budget_errors_for_exact_paths():
         star_disc_2d_sweep(rand_rows(rng, 8, 2), work_budget=10)
     with pytest.raises(BudgetError):
         extreme_disc_grid(rows, work_budget=10)
+
+
+def critical_cells(rows) -> int:
+    """Corners of the critical grid: each axis's distinct values plus 1."""
+    return math.prod(len({r[j] for r in rows} | {1}) for j in range(len(rows[0])))
+
+
+def pair_cells(rows) -> int:
+    """Corner pairs of the extreme grid: a lower corner from an axis's values
+    plus 0, an upper corner from its values plus 1, lower <= upper."""
+    cells = 1
+    for j in range(len(rows[0])):
+        values = {r[j] for r in rows}
+        cells *= sum(lo <= up for lo in values | {0} for up in values | {1})
+    return cells
+
+
+def test_every_kernel_is_budgeted_by_the_cells_of_its_grid():
+    rng = random.Random(31)
+    rows2, rows3 = rand_rows(rng, 12, 2), rand_rows(rng, 9, 3)
+    on_zero = [(Fraction(0), Fraction(1, 3)), (Fraction(1, 2), Fraction(2, 3)), (Fraction(1, 4), Fraction(0))]
+    cases = [
+        (star_disc_exact, rows3, critical_cells(rows3)),
+        (star_disc_2d_sweep, rows2, critical_cells(rows2)),
+        (extreme_disc_grid, rows3, pair_cells(rows3)),
+        (extreme_disc_grid, on_zero, pair_cells(on_zero)),
+        (lambda rows, work_budget: star_disc_bracket(rows, 6, work_budget=work_budget), rows3, 7**3),
+    ]
+    for kernel, rows, cells in cases:
+        kernel(rows, work_budget=cells)  # runs at exactly its cell count
+        with pytest.raises(BudgetError, match=f" has {cells} cells, beyond the budget of {cells - 1}$"):
+            kernel(rows, work_budget=cells - 1)
+
+
+def test_auto_is_exact_while_n_to_the_d_fits_the_cap():
+    spec = Halton((2, 3, 5))
+    for n in (48, 215):
+        points = stream(spec, 0, n)
+        assert compute_discrepancy(points) == star_disc_exact(points)
+    points = stream(spec, 0, 216)
+    r = compute_discrepancy(points)
+    assert r.mode == "bracketed" and r.resolution == 214  # 215^3 <= 10^7 < 216^3
+    assert r.lo <= star_disc_exact(points).value <= r.hi
+
+
+def test_auto_2d_switches_to_the_bracket_past_n_3162():
+    spec = Halton((2, 3))
+    points = stream(spec, 0, 3162)
+    assert compute_discrepancy(points) == star_disc_2d_sweep(points)
+    r = compute_discrepancy(stream(spec, 0, 3163))
+    assert r.mode == "bracketed" and r.resolution == 512
+
+
+def test_auto_extreme_is_exact_while_n_to_the_2d_fits_the_cap(monkeypatch):
+    monkeypatch.setattr(discrepancy, "AUTO_EXACT_CAP", 10**4)
+    points = stream(Halton((2, 3)), 0, 10)
+    assert compute_discrepancy(points, kind="extreme") == extreme_disc_grid(points)
+    with pytest.raises(BudgetError, match="no bracket"):
+        compute_discrepancy(stream(Halton((2, 3)), 0, 11), kind="extreme")
 
 
 def test_oracle_size_guard():
@@ -306,10 +366,11 @@ def test_compute_dispatcher_routes():
     assert brute_force_oracle(rows2, "extreme") == 1
 
 
-def test_compute_auto_falls_back_to_bracket():
+def test_compute_auto_falls_back_to_bracket(monkeypatch):
+    monkeypatch.setattr(discrepancy, "AUTO_EXACT_CAP", 100)
     rng = random.Random(21)
     rows = rand_rows(rng, 40, 2, dens=(64,))
-    r = compute_discrepancy(rows, auto_exact_cap=100, k=64)
+    r = compute_discrepancy(rows, k=64)
     assert r.mode == "bracketed"
     exact = star_disc_2d_sweep(rows).value
     assert r.lo <= exact <= r.hi

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import importlib
 import io
+import itertools
 import pkgutil
 import random
 from fractions import Fraction
@@ -162,16 +163,26 @@ def test_rational_net_validation():
         row(RationalNet(2, (0, 1), ((1,),)), 4)  # index beyond q^t
 
 
+def power_modulus_point(q: int, g, t: int, n: int) -> Fraction:
+    """Point n of ``RationalNet(q, x^t, (g,))`` in closed form: n(x) g(x)
+    mod x^t, coefficients mod q, read at x = q, over q^t."""
+    digits = [n // q**i % q for i in range(t)]
+    coeffs = [sum(digits[i] * g[c - i] for i in range(c + 1)) % q for c in range(t)]
+    return Fraction(sum(c * q**i for i, c in enumerate(coeffs)), q**t)
+
+
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6])
 def test_rational_net_matches_digital_kronecker_for_power_modulus(t):
-    q = 2
     modulus = (0,) * t + (1,)  # x^t
-    for gbits in range(1, 2**t, 2):  # g(0) = 1 keeps gcd(g, x^t) = 1
-        g = tuple((gbits >> i) & 1 for i in range(t))
-        net = RationalNet(q, modulus, (g,))
-        series = LaurentSeries.from_rational(q, g, modulus, depth=2 * t)
-        dk = DigitalKronecker(q, (series,), precision=t)
-        assert stream(net, 0, q**t).rows() == stream(dk, 0, q**t).rows()
+    for q in (2, 3) if t <= 5 else (2,):
+        for g in itertools.product(range(q), repeat=t):
+            if g[0] == 0:  # g(0) != 0 keeps gcd(g, x^t) = 1
+                continue
+            net = stream(RationalNet(q, modulus, (g,)), 0, q**t).rows()
+            assert net == [(power_modulus_point(q, g, t, n),) for n in range(q**t)]
+            series = LaurentSeries.from_rational(q, g, modulus, depth=2 * t)
+            dk = DigitalKronecker(q, (series,), precision=t)
+            assert net == stream(dk, 0, q**t).rows()
 
 
 # -- lattice --------------------------------------------------------------------
