@@ -10,7 +10,7 @@ Conventions used throughout the package:
   nonzero (the zero polynomial is the empty tuple).
 * A Laurent series ``a_w x^-w + a_(w+1) x^-(w+1) + ...`` is stored as its
   leading exponent ``omega`` (= w) and the known coefficient window
-  ``a_omega .. a_(omega+trunc)``.  Exponents below ``omega`` are zero by
+  ``a_omega .. a_known_top``.  Exponents below ``omega`` are zero by
   definition; exponents above the window are *unknown*, not zero, and
   asking for them raises :class:`~lowdisc.errors.TruncationError`.
 * A fixed-point real stores ``floor(frac(x) * 2^W)`` plus the integer part,
@@ -403,7 +403,7 @@ def mat_vec_mod_q(mat: GenMatrix, digits, depth: int) -> tuple[int, ...]:
 class LaurentSeries:
     """Truncated Laurent series ``sum_{k>=omega} a_k x^-k`` over Z_q.
 
-    ``coeffs`` holds ``a_omega .. a_(omega+trunc)`` with ``a_omega != 0``;
+    ``coeffs`` holds ``a_omega .. a_known_top`` with ``a_omega != 0``;
     the zero series is ``coeffs == ()``.  Constructing a window of explicit
     zeros asserts that the series *is* zero (the sources in this package
     always know their coefficients exactly on the window they expose).
@@ -465,11 +465,6 @@ class LaurentSeries:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def trunc(self) -> int:
-        """Number of known coefficients past the leading one."""
-        return len(self.coeffs) - 1 if self.coeffs else 0
 
     @property
     def known_top(self) -> int:
@@ -625,15 +620,15 @@ def golden_ratio_frac(width: int) -> FixedPointReal:
 MIN_CLEAR_BITS = 32
 
 
-def check_index_budget(alpha: FixedPointReal, n: int, clear_bits: int = MIN_CLEAR_BITS) -> None:
-    """Reject indices whose amplified error would eat into ``clear_bits``.
+def check_index_budget(alpha: FixedPointReal, n: int) -> None:
+    """Reject indices whose amplified error would eat into ``MIN_CLEAR_BITS``.
 
     Exactly represented values carry no error and pass unconditionally.
     """
     if alpha.exact or n == 0:
         return
-    if n >= 1 << max(0, alpha.width - clear_bits):
+    if n >= 1 << max(0, alpha.width - MIN_CLEAR_BITS):
         raise PrecisionError(
             f"index {n} too large for width {alpha.width} "
-            f"(needs {clear_bits} clean fractional bits)"
+            f"(needs {MIN_CLEAR_BITS} clean fractional bits)"
         )

@@ -57,10 +57,6 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _num(value: Fraction, decimal: int | None) -> str:
-    return str(value) if decimal is None else format_coordinate(value, decimal)
-
-
 def _read_keyvalue_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -96,7 +92,6 @@ def _plan_from_file(path: str) -> ExperimentPlan:
         algo=cfg.get("algo", "auto"),
         bracket_k=int(cfg.get("k", "512")),
         norm_exponent=float(cfg.get("p", "1")),
-        label=cfg.get("label", ""),
     )
 
 
@@ -120,10 +115,6 @@ def _cmd_disc(args) -> None:
     result = compute_discrepancy(
         data.columns, kind=args.kind, algo=args.algo, k=args.k, work_budget=args.budget
     )
-    if data.represented_only and result.mode == "exact":
-        from dataclasses import replace
-
-        result = replace(result, mode="exact-represented")
     _emit(result.to_json(decimal=args.decimal) + "\n", args.out)
 
 
@@ -182,8 +173,8 @@ def _cmd_schmidt(args) -> None:
     res = schmidt_count(args.h, gens, args.N, PhiSpec.parse(args.phi))
     text = (
         f"count={res.count}\n"
-        f"main_term={_num(res.main_term, args.decimal)}\n"
-        f"residual={_num(res.residual, args.decimal)}\n"
+        f"main_term={format_coordinate(res.main_term, args.decimal)}\n"
+        f"residual={format_coordinate(res.residual, args.decimal)}\n"
     )
     _emit(text, args.out)
 
@@ -193,9 +184,9 @@ def _cmd_littlewood(args) -> None:
     beta = parse_alpha(args.beta, args.width)
     res = littlewood_scan(alpha, beta, args.nmax)
     text = (
-        f"min={_num(res.min_value, args.decimal)}\n"
+        f"min={format_coordinate(res.min_value, args.decimal)}\n"
         f"argmin={res.argmin}\n"
-        f"error_bound={_num(res.per_coordinate_error, args.decimal)}\n"
+        f"error_bound={format_coordinate(res.per_coordinate_error, args.decimal)}\n"
     )
     _emit(text, args.out)
 

@@ -117,9 +117,6 @@ class SurdCF:
         return max(self.preperiod[1:] + self.period)
 
 
-ContinuedFraction = RationalCF | SurdCF
-
-
 def cf_rational(a: int, n: int) -> RationalCF:
     """Euclidean continued fraction of a/n in canonical form."""
     if n <= 0:

@@ -33,15 +33,18 @@ The extreme kind in d >= 2 (:func:`extreme_disc_grid`) runs the same
 filter and recheck over every lower/upper corner pair, counting each box by
 2^d-term inclusion-exclusion over one closed prefix-count array.
 
-Every algorithm reads integer columns over per-axis scales (a
-:class:`~lowdisc.generators.PointSet` or :class:`~lowdisc.generators.Columns`
-hands over its own).  The 1D kinds use exact closed forms on the sorted
-numerators.
+Every algorithm reads a :class:`~lowdisc.generators.Columns` batch: integer
+columns over per-axis scales.  A generated
+:class:`~lowdisc.generators.PointSet` or a read-back point file is one
+already; rows of ``Fraction``-like values are converted once, as exact
+columns.  The 1D kinds use exact closed forms on the sorted numerators.
 
-Results say what they certify: ``exact`` for exact-rational inputs,
-``exact-represented`` when the input points are themselves fixed-point or
-rounded representations (the value is exact for the represented points),
-and ``bracketed`` for interval enclosures.
+Results say what they certify, and the batch's representation tag alone
+decides it: ``exact`` for an exact, uncoerced tag, ``exact-represented``
+for a fixed-point or coerced one (fixed-point carriers, hybrids that
+coerced a half, point files written in fixed point or decimals; the value
+is exact for the represented points), and ``bracketed`` for interval
+enclosures.
 """
 
 from __future__ import annotations
@@ -57,7 +60,8 @@ import numpy as np
 
 from .algebra import int_array
 from .errors import BudgetError, ValidationError
-from .generators import Columns, PointSet
+from .generators import EXACT, Columns
+from .pointio import format_coordinate
 
 __all__ = [
     "DiscrepancyResult",
@@ -129,11 +133,7 @@ class DiscrepancyResult:
         return Fraction(0)
 
     def to_json(self, decimal: int | None = None) -> str:
-        def num(v: Fraction):
-            if decimal is None:
-                return str(v)
-            from .pointio import format_coordinate
-
+        def num(v: Fraction) -> str:
             return format_coordinate(v, decimal)
 
         payload = {
@@ -152,44 +152,34 @@ class DiscrepancyResult:
 # ---------------------------------------------------------------------------
 
 
-def _size(points) -> tuple[int, int]:
-    """Point count and dimension of any input :func:`_normalize` takes."""
-    if isinstance(points, (PointSet, Columns)):
-        columns = points.columns
-        return (len(columns[0]), len(columns)) if columns else (0, 0)
-    return len(points), len(points[0]) if points else 0
+def _as_columns(points) -> Columns:
+    """A :class:`Columns` as it is; rows of anything ``Fraction`` accepts as
+    exact columns, each axis over the lcm of its denominators."""
+    if isinstance(points, Columns):
+        return points
+    rows = [tuple(map(Fraction, row)) for row in points]
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValidationError("points of mixed dimension")
+    return Columns.from_ratios(([(c.numerator, c.denominator) for c in axis] for axis in zip(*rows)), EXACT)
 
 
 def _normalize(points) -> tuple[tuple, tuple[int, ...], str]:
     """Integer columns, per-axis scales and the certification mode of the
-    input: coordinate j of point i is ``columns[j][i] / scales[j]``.
-
-    A :class:`PointSet` or :class:`Columns` hands over its columns after a
-    range check; other inputs are rows of anything ``Fraction`` accepts, each
-    axis scaled by the lcm of its denominators.
+    input, after a range check: coordinate j of point i is
+    ``columns[j][i] / scales[j]``.  This is the one place a representation
+    tag becomes a mode: ``exact`` for an exact, uncoerced tag, else
+    ``exact-represented``.
     """
-    if isinstance(points, (PointSet, Columns)):
-        if _size(points)[0] == 0:
-            raise ValidationError("empty point set")
-        for col, scale in zip(points.columns, points.scales):
-            lo, hi = int(col.min()), int(col.max())
-            if lo < 0 or hi >= scale:
-                raise ValidationError(f"coordinate {Fraction(lo if lo < 0 else hi, scale)} outside [0, 1)")
-        tag = points.tag
-        mode = "exact" if tag.kind == "exact" and not tag.coerced else "exact-represented"
-        return points.columns, points.scales, mode
-    rows = [tuple(Fraction(c) for c in row) for row in points]
-    if not rows:
+    batch = _as_columns(points)
+    if batch.count == 0:
         raise ValidationError("empty point set")
-    d = len(rows[0])
-    for r in rows:
-        if len(r) != d:
-            raise ValidationError("points of mixed dimension")
-        for c in r:
-            if not 0 <= c < 1:
-                raise ValidationError(f"coordinate {c} outside [0, 1)")
-    batch = Columns.from_rows(rows, d)
-    return batch.columns, batch.scales, "exact"
+    for col, scale in zip(batch.columns, batch.scales):
+        lo, hi = int(col.min()), int(col.max())
+        if lo < 0 or hi >= scale:
+            raise ValidationError(f"coordinate {Fraction(lo if lo < 0 else hi, scale)} outside [0, 1)")
+    tag = batch.tag
+    mode = "exact" if tag.kind == "exact" and not tag.coerced else "exact-represented"
+    return batch.columns, batch.scales, mode
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +479,7 @@ def brute_force_oracle(points, kind: str = "star") -> Fraction:
     which provably attains the supremum for half-open boxes.  Pure Fraction
     arithmetic, no shared machinery with the production algorithms.
     """
-    rows = points.rows() if isinstance(points, PointSet) else [tuple(map(Fraction, r)) for r in points]
+    rows = points.rows() if isinstance(points, Columns) else [tuple(map(Fraction, r)) for r in points]
     if not rows or any(len(r) != len(rows[0]) or not all(0 <= c < 1 for c in r) for r in rows):
         raise ValidationError("oracle needs a nonempty set of points in [0, 1)^d")
     n, d = len(rows), len(rows[0])
@@ -554,7 +544,8 @@ def compute_discrepancy(
     chosen or explicit, refuses a grid of more than ``work_budget`` cells
     with :class:`~lowdisc.errors.BudgetError` instead of degrading.
     """
-    n, d = _size(points)
+    points = _as_columns(points)
+    n, d = points.count, points.dim
     if n == 0:
         raise ValidationError("empty point set")
     if kind not in ("star", "extreme"):

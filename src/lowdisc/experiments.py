@@ -13,12 +13,14 @@ reproduces its table byte for byte.
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import GenMatrix, fixedpoint_sqrt
-from .discrepancy import DEFAULT_WORK_BUDGET, DiscrepancyResult, compute_discrepancy
+from .discrepancy import DiscrepancyResult, compute_discrepancy
 from .errors import BudgetError, LowdiscError, ValidationError
 from .generators import (
     Digital,
@@ -34,7 +36,7 @@ from .generators import (
     lattice_point_set,
     stream,
 )
-from .pointio import parse_alpha
+from .pointio import format_coordinate, parse_alpha
 
 __all__ = [
     "ExperimentPlan",
@@ -54,7 +56,7 @@ __all__ = [
 ]
 
 
-def ln_bounds(n: int, margin_bits: int = 40) -> tuple[Fraction, Fraction]:
+def ln_bounds(n: int) -> tuple[Fraction, Fraction]:
     """Certified rational bounds lo <= ln(n) <= hi.
 
     The float log is correctly rounded to well under 2^-40 relative error,
@@ -64,7 +66,7 @@ def ln_bounds(n: int, margin_bits: int = 40) -> tuple[Fraction, Fraction]:
     if n < 2:
         raise ValidationError("ln bounds only for n >= 2")
     approx = Fraction(math.log(n))
-    pad = approx / (1 << margin_bits)
+    pad = approx / (1 << 40)
     return approx - pad, approx + pad
 
 
@@ -81,7 +83,6 @@ class ExperimentPlan:
     algo: str = "auto"
     bracket_k: int = 512
     norm_exponent: float = 1.0
-    label: str = ""
 
     def __post_init__(self) -> None:
         if not self.schedule:
@@ -132,7 +133,7 @@ def _prefix(plan: ExperimentPlan) -> PointSet | None:
         return None
 
 
-def run_scaling(plan: ExperimentPlan, *, work_budget: int = DEFAULT_WORK_BUDGET) -> list[ScalingRow]:
+def run_scaling(plan: ExperimentPlan) -> list[ScalingRow]:
     """One row per schedule entry: the discrepancy of the first N points and
     the normalized column N * D / (ln N)^p.  Per-row failures are recorded
     on the row and the run continues."""
@@ -141,9 +142,7 @@ def run_scaling(plan: ExperimentPlan, *, work_budget: int = DEFAULT_WORK_BUDGET)
     for n in plan.schedule:
         try:
             points = stream(_resize(plan.spec, n), 0, n) if prefix is None else prefix.head(n)
-            result = compute_discrepancy(
-                points, kind=plan.kind, algo=plan.algo, k=plan.bracket_k, work_budget=work_budget
-            )
+            result = compute_discrepancy(points, kind=plan.kind, algo=plan.algo, k=plan.bracket_k)
         except LowdiscError as exc:
             rows.append(ScalingRow(n=n, result=None, normalized=None, error=str(exc)))
             continue
@@ -156,12 +155,9 @@ def run_scaling(plan: ExperimentPlan, *, work_budget: int = DEFAULT_WORK_BUDGET)
 
 def scaling_csv(rows: list[ScalingRow], decimal: int | None = None) -> str:
     """Delimited table for a scaling run; exact values by default."""
-    from .pointio import format_coordinate
 
     def num(v: Fraction | None) -> str:
-        if v is None:
-            return ""
-        return str(v) if decimal is None else format_coordinate(v, decimal)
+        return "" if v is None else format_coordinate(v, decimal)
 
     lines = ["N,kind,mode,value,lo,hi,halfwidth,normalized,error"]
     for row in rows:
@@ -244,6 +240,9 @@ class LatticeScanSummary:
 
 QUANTILE_PERCENTS = (1, 10, 50, 90, 99)
 
+# Most generating vectors an exhaustive lattice scan walks.
+MAX_SCAN_VECTORS = 200_000
+
 
 def lattice_scan(
     size: int,
@@ -252,7 +251,6 @@ def lattice_scan(
     *,
     count: int | None = None,
     seed: int | None = None,
-    max_vectors: int = 200_000,
 ) -> LatticeScanSummary:
     """Distribution of the star discrepancy over lattice generating vectors.
 
@@ -261,23 +259,21 @@ def lattice_scan(
     exact sweep, dimension 3 the exact corner grid; higher dimensions are
     not supported exactly.
     """
-    import random as _random
-
     if size < 1:
         raise ValidationError("size must be >= 1")
     if dim not in (2, 3):
         raise ValidationError("lattice scans support dimensions 2 and 3")
     if mode == "exhaustive":
         total = size**dim
-        if total > max_vectors:
-            raise BudgetError(f"{total} vectors exceed the cap of {max_vectors}")
-        vectors = _all_vectors(size, dim)
+        if total > MAX_SCAN_VECTORS:
+            raise BudgetError(f"{total} vectors exceed the cap of {MAX_SCAN_VECTORS}")
+        vectors = itertools.product(range(size), repeat=dim)
     elif mode == "sample":
         if count is None or seed is None:
             raise ValidationError("sample mode needs count and seed")
         if count < 1:
             raise ValidationError("sample count must be >= 1")
-        rng = _random.Random(f"lattice-scan:{size}:{dim}:{seed}")
+        rng = random.Random(f"lattice-scan:{size}:{dim}:{seed}")
         vectors = [tuple(rng.randrange(size) for _ in range(dim)) for _ in range(count)]
     else:
         raise ValidationError(f"unknown scan mode {mode!r}")
@@ -303,12 +299,6 @@ def lattice_scan(
         max_vector=max_vector,
         max_value=max_value,
     )
-
-
-def _all_vectors(size: int, dim: int) -> list[tuple[int, ...]]:
-    import itertools
-
-    return list(itertools.product(range(size), repeat=dim))
 
 
 def lattice_scan_csv(summary: LatticeScanSummary) -> str:
@@ -365,24 +355,18 @@ def _preset_op9(alpha: str, width: int | None) -> ExperimentPlan:
     del alpha
     w = width or 192
     spec = Hybrid(Halton((2,)), Kronecker((fixedpoint_sqrt(2, w),)))
-    return ExperimentPlan(
-        spec=spec, schedule=_geometric(2, 4, 14), norm_exponent=2.0, label="op9-vdc-sqrt2"
-    )
+    return ExperimentPlan(spec=spec, schedule=_geometric(2, 4, 14), norm_exponent=2.0)
 
 
 def _preset_op12(alpha: str, width: int | None) -> ExperimentPlan:
     w = width or 128
     spec = DigitSumFiltered(Kronecker((parse_alpha(alpha, w),)))
-    return ExperimentPlan(
-        spec=spec, schedule=_geometric(2, 4, 14), norm_exponent=1.0, label="op12-digitsum-alpha"
-    )
+    return ExperimentPlan(spec=spec, schedule=_geometric(2, 4, 14), norm_exponent=1.0)
 
 
 def _preset_halton23(alpha: str, width: int | None) -> ExperimentPlan:
     del alpha, width
-    return ExperimentPlan(
-        spec=Halton((2, 3)), schedule=_geometric(2, 4, 12), norm_exponent=2.0, label="halton-2-3"
-    )
+    return ExperimentPlan(spec=Halton((2, 3)), schedule=_geometric(2, 4, 12), norm_exponent=2.0)
 
 
 def _preset_c1(alpha: str, width: int | None) -> ExperimentPlan:
@@ -391,29 +375,18 @@ def _preset_c1(alpha: str, width: int | None) -> ExperimentPlan:
         Digital(3, (GenMatrix.ones_first_row(3),), precision=26),
         Digital(2, (GenMatrix.identity(2),), precision=32),
     )
-    return ExperimentPlan(
-        spec=spec, schedule=_geometric(6, 1, 6), norm_exponent=2.0, label="c1-counterexample"
-    )
+    return ExperimentPlan(spec=spec, schedule=_geometric(6, 1, 6), norm_exponent=2.0)
 
 
 def _preset_hammersley_lattice(alpha: str, width: int | None) -> ExperimentPlan:
     del alpha, width
     spec = Hybrid(Hammersley(233, (2,)), Lattice(233, (144,)))
-    return ExperimentPlan(
-        spec=spec,
-        schedule=(233,),
-        algo="bracket",
-        bracket_k=128,
-        norm_exponent=2.0,
-        label="hammersley-lattice",
-    )
+    return ExperimentPlan(spec=spec, schedule=(233,), algo="bracket", bracket_k=128, norm_exponent=2.0)
 
 
 def _preset_power32(alpha: str, width: int | None) -> ExperimentPlan:
     del alpha, width
-    return ExperimentPlan(
-        spec=PowerRatio(3, 2), schedule=_geometric(2, 4, 12), norm_exponent=1.0, label="power-3-2"
-    )
+    return ExperimentPlan(spec=PowerRatio(3, 2), schedule=_geometric(2, 4, 12), norm_exponent=1.0)
 
 
 _PRESETS = {

@@ -6,9 +6,12 @@ emission format all speak specs).  A spec knows its dimension and generates
 points in batches only: ``spec.batch(indices)`` returns :class:`Columns`,
 one integer numerator array per axis over a denominator known from the spec
 (2^W for Kronecker, q^L for digital, b^k for Halton with k the digit count
-of the last index, N for lattice and Hammersley sets).  :func:`stream`
-materializes an index range as a :class:`PointSet` of such columns; a single
-point n is ``stream(spec, n, 1)``.  Index origin is n = 0 for every family.
+of the last index, N for lattice and Hammersley sets).  :class:`Columns` is
+the one point batch of the package: generators, point files and kernels all
+hand it over.  :func:`stream` materializes an index range as a
+:class:`PointSet`, which is :class:`Columns` plus its provenance (``spec``
+and ``start``); a single point n is ``stream(spec, n, 1)``.  Index origin is
+n = 0 for every family.
 
 Digital Kronecker sequences and rational nets are digital sequences too:
 digit r of {n(x) f(x)} is sum_c n_c a_(r+c+1) over the Laurent coefficients
@@ -25,6 +28,9 @@ Coordinates come in two representations and never mix inside one point set:
 A hybrid whose halves disagree coerces the exact side into the fixed-point
 width of the other side (never the reverse) and records the coercion in the
 representation tag, so a hybrid point set has one uniform error budget.
+The tag (:class:`ReprTag`) is the only record of how a batch stores its
+points: a fixed-point or coerced tag means the batch is a rounding of the
+ideal points, and a discrepancy of it certifies the represented points only.
 
 All points are pure functions of (spec, n): disjoint index ranges may be
 generated concurrently and concatenate to the same result as one sequential
@@ -112,7 +118,8 @@ class Columns:
     Coordinate j of point i is ``columns[j][i] / scales[j]``.  An array is
     int64, or holds Python ints where int64 arithmetic could overflow.
     Fixed-point batches also carry ``exact[j][i]``, whether that coordinate
-    is error-free.
+    is error-free.  The tag decides what a discrepancy of the batch
+    certifies; ``rows()`` is a ``Fraction`` view built on demand.
     """
 
     columns: tuple
@@ -120,36 +127,28 @@ class Columns:
     tag: ReprTag
     exact: tuple = ()
 
-    @classmethod
-    def from_rows(cls, rows, dim: int) -> "Columns":
-        """Exact columns of Fraction rows, each axis over the lcm of its
-        denominators."""
-        scales = tuple(lcm(*(r[j].denominator for r in rows)) for j in range(dim))
-        columns = tuple(
-            int_array([r[j].numerator * (s // r[j].denominator) for r in rows], s)
-            for j, s in enumerate(scales)
-        )
-        return cls(columns, scales, EXACT)
-
-
-@dataclass(frozen=True, eq=False)
-class PointSet:
-    """An ordered run of points sharing dimension and representation, held
-    as :class:`Columns`; ``rows()`` is a ``Fraction`` view built on demand."""
-
-    spec: "SequenceSpec"
-    start: int
-    count: int
-    columns: tuple
-    scales: tuple[int, ...]
-    tag: ReprTag
-    exact: tuple = ()
-
     def __post_init__(self) -> None:
-        if len(self.columns) != len(self.scales) or any(len(c) != self.count for c in self.columns):
-            raise ValidationError("columns do not match the point count")
+        if len(self.columns) != len(self.scales) or len({len(c) for c in self.columns}) > 1:
+            raise ValidationError("columns need one scale each and one common length")
         if len(self.exact) != (len(self.columns) if self.tag.kind == "fixedpoint" else 0):
             raise ValidationError("fixed-point columns need one exactness flag array per axis")
+
+    @classmethod
+    def from_ratios(cls, axes, tag: ReprTag) -> "Columns":
+        """Columns of per-axis ``(numerator, denominator)`` pairs, each axis
+        over the lcm of its distinct denominators."""
+        columns, scales = [], []
+        for axis in axes:
+            distinct = {den for _, den in axis}
+            scale = lcm(*distinct)
+            factor = {den: scale // den for den in distinct}
+            columns.append(int_array([num * factor[den] for num, den in axis], scale))
+            scales.append(scale)
+        return cls(tuple(columns), tuple(scales), tag)
+
+    @property
+    def count(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
 
     @property
     def dim(self) -> int:
@@ -159,16 +158,23 @@ class PointSet:
         fractions = (map(Fraction, c.tolist(), repeat(s)) for c, s in zip(self.columns, self.scales))
         return list(zip(*fractions))
 
-    def head(self, n: int) -> "PointSet":
-        """The first n points, sharing this set's arrays."""
+    def head(self, n: int) -> "Columns":
+        """The first n points, of the same class and sharing this batch's arrays."""
         if not 0 <= n <= self.count:
             raise ValidationError(f"prefix of {n} points from a set of {self.count}")
-        return replace(
-            self,
-            count=n,
-            columns=tuple(c[:n] for c in self.columns),
-            exact=tuple(e[:n] for e in self.exact),
-        )
+        return replace(self, columns=tuple(c[:n] for c in self.columns), exact=tuple(e[:n] for e in self.exact))
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class PointSet(Columns):
+    """The points of ``spec`` at indices ``start .. start + count - 1``."""
+
+    spec: "SequenceSpec"
+    start: int
+
+    # An attribute of PointSet itself: perfbench/tracing.py wraps
+    # ``vars(PointSet)["rows"]`` to count Fraction views of generated points.
+    rows = Columns.rows
 
 
 # ---------------------------------------------------------------------------
@@ -634,4 +640,4 @@ def stream(spec: SequenceSpec, start: int, count: int) -> PointSet:
         for n in indices:  # raise what the first failing index raises alone
             spec.batch((n,))
         raise
-    return PointSet(spec, start, count, batch.columns, batch.scales, batch.tag, batch.exact)
+    return PointSet(batch.columns, batch.scales, batch.tag, batch.exact, spec=spec, start=start)

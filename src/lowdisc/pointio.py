@@ -29,6 +29,11 @@ with an explicit digit count::
     # spec=halton:bases=2|3 dim=2 repr=exact start=0 count=4 format=frac
     0	0
     1/2	1/3
+
+:func:`read_points` returns the points as :class:`~lowdisc.generators.Columns`
+whose tag says what they are: exact when the header reads ``repr=exact`` and
+``format=frac``, otherwise ``coerced``, a rounding of the ideal points (the
+same tag a hybrid that coerced one half carries).
 """
 
 from __future__ import annotations
@@ -36,9 +41,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd
 
-from .algebra import FixedPointReal, GenMatrix, LaurentSeries, golden_ratio_frac, int_array
+from .algebra import FixedPointReal, GenMatrix, LaurentSeries, golden_ratio_frac
 from .errors import ValidationError
 from .generators import (
     EXACT,
@@ -54,6 +59,7 @@ from .generators import (
     PointSet,
     PowerRatio,
     RationalNet,
+    ReprTag,
     SequenceSpec,
 )
 
@@ -321,28 +327,19 @@ def write_points(points: PointSet, fh, decimal: int | None = None) -> None:
 @dataclass(frozen=True)
 class ReadPoints:
     """The points of a file as integer :class:`~lowdisc.generators.Columns`,
-    plus its header; ``rows`` is a ``Fraction`` view built on demand."""
+    plus its header."""
 
     columns: Columns
     header: dict[str, str]
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        batch = self.columns
-        return tuple(zip(*(map(Fraction, c.tolist(), repeat(s)) for c, s in zip(batch.columns, batch.scales))))
+        """The points as ``Fraction`` tuples, built on demand."""
+        return tuple(self.columns.rows())
 
     @property
     def dim(self) -> int:
-        return len(self.columns.columns) if self.columns.columns else int(self.header.get("dim", 0))
-
-    @property
-    def represented_only(self) -> bool:
-        """True when the file stores an approximation of the ideal points
-        (fixed-point or decimal rendering), so exact discrepancy values
-        certify the represented points only."""
-        return self.header.get("repr", "exact") != "exact" or self.header.get(
-            "format", "frac"
-        ) != "frac"
+        return self.columns.dim or int(self.header.get("dim", 0))
 
 
 def _ratio(token: str) -> tuple[int, int]:
@@ -363,10 +360,14 @@ def _ratio(token: str) -> tuple[int, int]:
 
 def read_points(fh) -> ReadPoints:
     """Read a point file (see the module docstring) into integer columns,
-    each axis over the lcm of its distinct denominators."""
+    each axis over the lcm of its distinct denominators.
+
+    A file that stores a rounding of the ideal points (a fixed-point ``repr``
+    or a decimal ``format``) comes back tagged ``coerced``, so a discrepancy
+    of it certifies the represented points only.
+    """
     header: dict[str, str] = {}
-    axes: list[tuple[list[int], list[int]]] = []  # numerators and denominators per axis
-    dim: int | None = None
+    axes: list[list[tuple[int, int]]] = []  # (numerator, denominator) pairs per axis
     for lineno, raw in enumerate(fh, start=1):
         line = raw.rstrip("\n")
         if not line.strip():
@@ -384,19 +385,11 @@ def read_points(fh) -> ReadPoints:
         for num, den in coords:
             if not 0 <= num < den:
                 raise ValidationError(f"line {lineno}: coordinate {Fraction(num, den)} outside [0, 1)")
-        if dim is None:
-            dim = len(coords)
-            axes = [([], []) for _ in coords]
-        elif len(coords) != dim:
-            raise ValidationError(f"line {lineno}: expected {dim} coordinates, got {len(coords)}")
-        for (num, den), (nums, dens) in zip(coords, axes):
-            nums.append(num)
-            dens.append(den)
-    columns, scales = [], []
-    for nums, dens in axes:
-        distinct = set(dens)
-        scale = lcm(*distinct)
-        factor = {den: scale // den for den in distinct}
-        columns.append(int_array([num * factor[den] for num, den in zip(nums, dens)], scale))
-        scales.append(scale)
-    return ReadPoints(Columns(tuple(columns), tuple(scales), EXACT), header)
+        if not axes:
+            axes = [[] for _ in coords]
+        elif len(coords) != len(axes):
+            raise ValidationError(f"line {lineno}: expected {len(axes)} coordinates, got {len(coords)}")
+        for pair, axis in zip(coords, axes):
+            axis.append(pair)
+    represented = header.get("repr", "exact") != "exact" or header.get("format", "frac") != "frac"
+    return ReadPoints(Columns.from_ratios(axes, ReprTag("exact", coerced=True) if represented else EXACT), header)

@@ -7,6 +7,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 import lowdisc.experiments as experiments
@@ -32,6 +33,7 @@ from lowdisc.discrepancy import (
 from lowdisc.errors import PrecisionError, TruncationError, ValidationError
 from lowdisc.experiments import ExperimentPlan, run_scaling, scaling_csv
 from lowdisc.generators import (
+    Columns,
     Digital,
     DigitSumFiltered,
     DigitalKronecker,
@@ -176,6 +178,19 @@ def test_batch_exact_past_int64():
         assert _as_refs(ps) == [reference_point(spec, n) for n in range(start, start + 12)]
 
 
+def test_columns_check_their_shape():
+    with pytest.raises(ValidationError):
+        Columns((np.arange(3), np.arange(2)), (4, 4), EXACT)
+    with pytest.raises(ValidationError):
+        Columns((np.arange(3),), (4, 4), EXACT)
+    with pytest.raises(ValidationError):
+        Columns((np.arange(3),), (4,), ReprTag("fixedpoint", 8))
+    batch = Columns.from_ratios([[(1, 2), (1, 3)], [(0, 1), (3, 4)]], EXACT)
+    assert (batch.count, batch.dim, batch.scales) == (2, 2, (6, 4))
+    assert batch.rows() == [(Fraction(1, 2), Fraction(0)), (Fraction(1, 3), Fraction(3, 4))]
+    assert batch.head(1).rows() == [(Fraction(1, 2), Fraction(0))]
+
+
 def test_hybrid_coercion_flags_and_mode():
     spec = FAMILIES["hybrid-exact-left"]
     ps = stream(spec, 0, 4)
@@ -295,7 +310,7 @@ def test_1d_closed_forms_match_oracle_on_point_sets():
     wide = Hybrid(Halton((3,)), Kronecker((FixedPointReal.from_fraction(Fraction(1, 4), 12),)))
     for start in (0, 4, 9):
         b = wide.batch(range(start, start + 8))
-        ps = PointSet(Halton((3,)), start, 8, b.columns[:1], b.scales[:1], b.tag, b.exact[:1])
+        ps = PointSet(b.columns[:1], b.scales[:1], b.tag, b.exact[:1], spec=Halton((3,)), start=start)
         _check_1d(ps)
         assert star_disc_1d(ps).mode == "exact-represented"
         assert ps.rows() != stream(Halton((3,)), start, 8).rows()  # coercion moved the points

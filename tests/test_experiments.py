@@ -90,8 +90,8 @@ def test_run_scaling_diagonal_lattice_never_decays():
 
 
 def test_run_scaling_records_row_errors_and_continues():
-    plan = ExperimentPlan(spec=Lattice(2, (1, 1)), schedule=(4, 8), algo="grid")
-    rows = run_scaling(plan, work_budget=10)
+    plan = ExperimentPlan(spec=Halton((2, 3)), schedule=(64, 128), kind="extreme")
+    rows = run_scaling(plan)
     assert all(r.result is None and "budget" in r.error.lower() for r in rows)
     mixed = ExperimentPlan(spec=Hammersley(8, (2,)), schedule=(4, 8, 16))
     rows = run_scaling(mixed)
@@ -197,7 +197,7 @@ def test_lattice_scan_sampling_is_seed_deterministic():
 
 def test_lattice_scan_guards():
     with pytest.raises(BudgetError):
-        lattice_scan(100, 3, max_vectors=1000)
+        lattice_scan(100, 3)
     with pytest.raises(ValidationError):
         lattice_scan(5, 4)
     with pytest.raises(ValidationError):

@@ -16,6 +16,7 @@ from lowdisc.algebra import (
     LaurentSeries,
     fixedpoint_sqrt,
 )
+from lowdisc.discrepancy import brute_force_oracle, compute_discrepancy
 from lowdisc.errors import PrecisionError, TruncationError, ValidationError
 from lowdisc.generators import (
     Digital,
@@ -372,7 +373,7 @@ def test_point_file_round_trip_exact():
     assert back.rows == tuple(tuple(r) for r in ps.rows())
     assert back.header["spec"] == "halton:bases=2|3"
     assert back.header["repr"] == "exact"
-    assert not back.represented_only
+    assert not back.columns.tag.coerced
 
 
 def test_point_file_decimal_format():
@@ -384,7 +385,7 @@ def test_point_file_decimal_format():
     assert "0.500000" in text
     buf.seek(0)
     back = read_points(buf)
-    assert back.represented_only
+    assert back.columns.tag.coerced
     assert back.rows[2] == (Fraction(1, 4),)
 
 
@@ -394,7 +395,26 @@ def test_point_file_fixedpoint_header():
     write_points(ps, buf)
     assert "repr=fixedpoint(96)+coerced" in buf.getvalue()
     buf.seek(0)
-    assert read_points(buf).represented_only
+    assert read_points(buf).columns.tag.coerced
+
+
+@pytest.mark.parametrize(
+    "spec, count, decimal, mode",
+    [
+        (Halton((2, 3)), 8, None, "exact"),
+        (Hybrid(Halton((2,)), Kronecker((fixedpoint_sqrt(2, 96),))), 6, None, "exact-represented"),
+        (Halton((2,)), 8, 6, "exact-represented"),
+    ],
+)
+def test_read_back_columns_certify_what_the_file_stores(spec, count, decimal, mode):
+    # a library caller gets the mode from the columns alone, as disc does
+    buf = io.StringIO()
+    write_points(stream(spec, 0, count), buf, decimal=decimal)
+    buf.seek(0)
+    back = read_points(buf)
+    result = compute_discrepancy(back.columns)
+    assert result.mode == mode
+    assert brute_force_oracle(back.columns) == brute_force_oracle(back.rows) == result.value
 
 
 def test_read_points_validation():
