@@ -10,66 +10,92 @@ The package splits into five parts:
 * :mod:`lowdisc.experiments` - scaling studies, fits, vector scans, presets.
 
 :mod:`lowdisc.cli` exposes all of it as the ``lowdisc`` command.
+
+Importing the package loads none of them.  Each name below, and each
+submodule, is resolved on first access from the module that defines it
+(PEP 562), so a caller pays only for the modules it uses; numpy is loaded
+only by the code that builds arrays.
 """
 
-from .algebra import (
-    Fq,
-    FixedPointReal,
-    GenMatrix,
-    LaurentSeries,
-    fixedpoint_sqrt,
-    golden_ratio_frac,
-)
-from .discrepancy import (
-    DiscrepancyResult,
-    brute_force_oracle,
-    compute_discrepancy,
-    extreme_disc_1d,
-    extreme_disc_grid,
-    star_disc_1d,
-    star_disc_2d_sweep,
-    star_disc_bracket,
-    star_disc_exact,
-)
-from .diophantine import (
-    PhiSpec,
-    cf_rational,
-    cf_surd,
-    largest_quotient_2k_sqrt2,
-    littlewood_scan,
-    max_partial_quotient_of_real,
-    moser_scan,
-    running_max_quotient_2k_sqrt2,
-    schmidt_count,
-    zaremba_scan,
-)
-from .errors import BudgetError, LowdiscError, PrecisionError, TruncationError, ValidationError
-from .experiments import (
-    ExperimentPlan,
-    FitResult,
-    fit_exponent,
-    lattice_scan,
-    preset,
-    preset_names,
-    run_scaling,
-)
-from .generators import (
-    Digital,
-    DigitSumFiltered,
-    DigitalKronecker,
-    Halton,
-    Hammersley,
-    Hybrid,
-    Kronecker,
-    Lattice,
-    PointSet,
-    PowerRatio,
-    RationalNet,
-    digitsum_filtered_index,
-    lattice_point_set,
-    radical_inverse,
-    stream,
-)
-from .pointio import parse_spec, read_points, spec_to_string, write_points
+from importlib import import_module as _import_module
 
+# Submodule -> the names the package re-exports from it.
+_EXPORTS = {
+    "algebra": (
+        "Fq",
+        "FixedPointReal",
+        "GenMatrix",
+        "LaurentSeries",
+        "fixedpoint_sqrt",
+        "golden_ratio_frac",
+    ),
+    "discrepancy": (
+        "DiscrepancyResult",
+        "brute_force_oracle",
+        "compute_discrepancy",
+        "extreme_disc_1d",
+        "extreme_disc_grid",
+        "star_disc_1d",
+        "star_disc_2d_sweep",
+        "star_disc_bracket",
+        "star_disc_exact",
+    ),
+    "diophantine": (
+        "PhiSpec",
+        "cf_rational",
+        "cf_surd",
+        "largest_quotient_2k_sqrt2",
+        "littlewood_scan",
+        "max_partial_quotient_of_real",
+        "moser_scan",
+        "running_max_quotient_2k_sqrt2",
+        "schmidt_count",
+        "zaremba_scan",
+    ),
+    "errors": ("BudgetError", "LowdiscError", "PrecisionError", "TruncationError", "ValidationError"),
+    "experiments": (
+        "ExperimentPlan",
+        "FitResult",
+        "fit_exponent",
+        "lattice_scan",
+        "preset",
+        "preset_names",
+        "run_scaling",
+    ),
+    "generators": (
+        "Digital",
+        "DigitSumFiltered",
+        "DigitalKronecker",
+        "Halton",
+        "Hammersley",
+        "Hybrid",
+        "Kronecker",
+        "Lattice",
+        "PointSet",
+        "PowerRatio",
+        "RationalNet",
+        "digitsum_filtered_index",
+        "lattice_point_set",
+        "radical_inverse",
+        "stream",
+    ),
+    "pointio": ("parse_spec", "read_points", "spec_to_string", "write_points"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_EXPORTS) + sorted(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # Not cached in globals(): a name replaced in its home module (as a
+    # tracer does) is seen here too, and restored with it.
+    if name in _EXPORTS:
+        return _import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

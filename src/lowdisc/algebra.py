@@ -29,10 +29,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import PrecisionError, TruncationError, ValidationError
+
+if TYPE_CHECKING:  # numpy is imported inside the functions that build arrays
+    import numpy as np
 
 __all__ = [
     "Fq",
@@ -92,6 +94,8 @@ def int_array(values, bound: int) -> np.ndarray:
     the caller computes from them: the array is int64 when ``bound <= 2^63``
     and holds Python ints (dtype object) otherwise.
     """
+    import numpy as np
+
     if bound > 1 << 63:
         return np.asarray(values, dtype=object)
     if isinstance(values, range):

@@ -4,47 +4,22 @@ Numeric output is exact ``p/q`` by default; pass ``--decimal DIGITS`` where
 offered to render decimals instead.  Exit codes: 0 success, 2 validation
 error, 3 budget exceeded.  Every command is deterministic given its flags
 (sampling commands take explicit seeds).
+
+The parser is built without loading any computational module: each command
+handler imports what it uses, so ``cfrac``, ``zaremba`` and ``moser`` load
+only :mod:`lowdisc.diophantine` and :mod:`lowdisc.algebra`, and numpy is
+loaded only by the commands that build arrays (``gen``, ``disc``,
+``scan-lattice``, ``experiment``).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import os
 import sys
-from fractions import Fraction
 
-from .diophantine import (
-    PhiSpec,
-    cf_rational,
-    cf_surd,
-    largest_quotient_2k_sqrt2,
-    littlewood_scan,
-    moser_scan,
-    scan_report_csv,
-    schmidt_count,
-    zaremba_scan,
-)
-from .discrepancy import DEFAULT_WORK_BUDGET, compute_discrepancy
 from .errors import BudgetError, ValidationError
-from .experiments import (
-    ExperimentPlan,
-    fit_exponent,
-    lattice_scan,
-    lattice_scan_csv,
-    preset,
-    run_scaling,
-    scaling_csv,
-)
-from .generators import stream
-from .pointio import (
-    format_coordinate,
-    parse_alpha,
-    parse_spec,
-    read_points,
-    write_points,
-)
 
 __all__ = ["main"]
 
@@ -72,6 +47,8 @@ def _read_keyvalue_file(path: str) -> dict[str, str]:
 
 
 def _spec_from_arg(arg: str):
+    from .pointio import parse_spec
+
     if os.path.exists(arg):
         cfg = _read_keyvalue_file(arg)
         if "spec" not in cfg:
@@ -80,7 +57,10 @@ def _spec_from_arg(arg: str):
     return parse_spec(arg)
 
 
-def _plan_from_file(path: str) -> ExperimentPlan:
+def _plan_from_file(path: str):
+    from .experiments import ExperimentPlan
+    from .pointio import parse_spec
+
     cfg = _read_keyvalue_file(path)
     if "spec" not in cfg or "schedule" not in cfg:
         raise ValidationError("plan files need at least 'spec' and 'schedule'")
@@ -99,6 +79,9 @@ def _plan_from_file(path: str) -> ExperimentPlan:
 
 
 def _cmd_gen(args) -> None:
+    from .generators import stream
+    from .pointio import write_points
+
     spec = _spec_from_arg(args.spec)
     points = stream(spec, args.start, args.count)
     buf = io.StringIO()
@@ -107,18 +90,22 @@ def _cmd_gen(args) -> None:
 
 
 def _cmd_disc(args) -> None:
+    from .discrepancy import DEFAULT_WORK_BUDGET, compute_discrepancy
+    from .pointio import read_points
+
     if args.infile == "-":
         data = read_points(sys.stdin)
     else:
         with open(args.infile, encoding="utf-8") as fh:
             data = read_points(fh)
-    result = compute_discrepancy(
-        data.columns, kind=args.kind, algo=args.algo, k=args.k, work_budget=args.budget
-    )
+    budget = DEFAULT_WORK_BUDGET if args.budget is None else args.budget
+    result = compute_discrepancy(data.columns, kind=args.kind, algo=args.algo, k=args.k, work_budget=budget)
     _emit(result.to_json(decimal=args.decimal) + "\n", args.out)
 
 
 def _cmd_scan_lattice(args) -> None:
+    from .experiments import lattice_scan, lattice_scan_csv
+
     summary = lattice_scan(
         args.N, args.d, args.mode, count=args.count, seed=args.seed
     )
@@ -126,6 +113,8 @@ def _cmd_scan_lattice(args) -> None:
 
 
 def _cmd_cfrac(args) -> None:
+    from .diophantine import cf_rational, cf_surd, largest_quotient_2k_sqrt2, scan_report_csv
+
     if args.rational is not None:
         text = args.rational
         if "/" not in text:
@@ -153,6 +142,8 @@ def _cmd_cfrac(args) -> None:
 
 
 def _cmd_zaremba(args) -> None:
+    from .diophantine import scan_report_csv, zaremba_scan
+
     rows = []
     for n in range(2, args.to + 1):
         stat, witness = zaremba_scan(n)
@@ -161,6 +152,8 @@ def _cmd_zaremba(args) -> None:
 
 
 def _cmd_moser(args) -> None:
+    from .diophantine import moser_scan, scan_report_csv
+
     rows = []
     for n in range(2, args.to + 1):
         stat, witness = moser_scan(n)
@@ -169,6 +162,9 @@ def _cmd_moser(args) -> None:
 
 
 def _cmd_schmidt(args) -> None:
+    from .diophantine import PhiSpec, schmidt_count
+    from .pointio import format_coordinate
+
     gens = tuple(int(v) for v in args.gens.replace(",", " ").split())
     res = schmidt_count(args.h, gens, args.N, PhiSpec.parse(args.phi))
     text = (
@@ -180,6 +176,9 @@ def _cmd_schmidt(args) -> None:
 
 
 def _cmd_littlewood(args) -> None:
+    from .diophantine import littlewood_scan
+    from .pointio import format_coordinate, parse_alpha
+
     alpha = parse_alpha(args.alpha, args.width)
     beta = parse_alpha(args.beta, args.width)
     res = littlewood_scan(alpha, beta, args.nmax)
@@ -192,6 +191,8 @@ def _cmd_littlewood(args) -> None:
 
 
 def _cmd_experiment(args) -> None:
+    from .experiments import preset, run_scaling, scaling_csv
+
     schedule = None
     if args.schedule:
         schedule = tuple(int(v) for v in args.schedule.replace(",", " ").split())
@@ -214,6 +215,11 @@ def _cmd_experiment(args) -> None:
 
 
 def _cmd_fit(args) -> None:
+    import csv
+    from fractions import Fraction
+
+    from .experiments import fit_exponent
+
     with open(args.infile, encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         pairs = []
@@ -259,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("auto", "1d", "2d", "grid", "bracket"), default="auto")
     p.add_argument("--k", type=int, default=512,
                    help="bracket resolution; auto may lower it in d >= 3 to fit its cell cap")
-    p.add_argument("--budget", type=int, default=DEFAULT_WORK_BUDGET,
+    p.add_argument("--budget", type=int, default=None,
                    help="most grid cells a kernel may visit (corners, corner pairs or lattice points)")
     p.add_argument("--out")
     p.add_argument("--decimal", type=int, default=None)

@@ -303,12 +303,14 @@ def littlewood_scan(alpha: FixedPointReal, beta: FixedPointReal, n_max: int) -> 
     half = 1 << w
     for carrier in (alpha, beta):
         check_index_budget(carrier, n_max)
+    sa, sb = alpha.frac_bits, beta.frac_bits
+    fa = fb = 0  # n alpha and n beta mod 1, as running residues over 2^w
     best: tuple[int, int] | None = None
     for n in range(1, n_max + 1):
-        fa = (n * alpha.frac_bits) & mask
-        fb = (n * beta.frac_bits) & mask
-        da = min(fa, half - fa)
-        db = min(fb, half - fb)
+        fa = (fa + sa) & mask
+        fb = (fb + sb) & mask
+        da = fa if fa <= half - fa else half - fa
+        db = fb if fb <= half - fb else half - fb
         val = n * da * db
         if best is None or val < best[0]:
             best = (val, n)

@@ -55,13 +55,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import int_array
 from .errors import BudgetError, ValidationError
 from .generators import EXACT, Columns
 from .pointio import format_coordinate
+
+if TYPE_CHECKING:  # numpy is imported inside the functions that build arrays
+    import numpy as np
 
 __all__ = [
     "DiscrepancyResult",
@@ -188,6 +190,8 @@ def _normalize(points) -> tuple[tuple, tuple[int, ...], str]:
 
 
 def _sorted_1d(points, name: str) -> tuple[list[int], int, str]:
+    import numpy as np
+
     columns, scales, mode = _normalize(points)
     if len(columns) != 1:
         raise ValidationError(f"{name} needs one-dimensional points")
@@ -233,6 +237,8 @@ def _prefix_counts(index, shape):
     ``block[0]`` repeats the last row of the previous block: a histogram over
     rank space, summed one block at a time with the last row carried over.
     """
+    import numpy as np
+
     padded = tuple(m + 1 for m in shape)
     row = padded[1:]
     row_cells = math.prod(row)
@@ -271,6 +277,8 @@ def _max_objective(extents, scales, n: int, blocks) -> Fraction:
     the rounding of ``F - 2E`` itself.  Every other cell is rechecked in
     integer arithmetic from the exact extents and int64 counts.
     """
+    import numpy as np
+
     d = len(extents)
     axes = [np.array([e * w / s for e in es]) for es, s, w in zip(extents, scales, (n,) + (1,) * d)]
     nvol_row = reduce(np.multiply.outer, axes[1:], np.ones(()))
@@ -305,6 +313,8 @@ def _star_kernel(corners, scales, closed, open_) -> Fraction:
     ``x_pj < corner``; a point is in the closed (open) box of a corner when
     its closed (open) index is at most the corner's on every axis.
     """
+    import numpy as np
+
     n, d = closed.shape
     shape = tuple(len(c) for c in corners)
     # the open count at corner i is the count of open_ - 1 at corner i - 1
@@ -326,6 +336,8 @@ def _star_kernel(corners, scales, closed, open_) -> Fraction:
 def _critical_grid(columns, scales) -> tuple[list[list[int]], np.ndarray]:
     """Corners are each axis's distinct values plus the scale; a point's
     closed index is its rank among them (its open index is that plus one)."""
+    import numpy as np
+
     corners, closed = [], []
     for col, scale in zip(columns, scales):
         values, rank = np.unique(col, return_inverse=True)
@@ -373,6 +385,8 @@ def _box_counts(prefix, bounds) -> np.ndarray:
     every choice of hi or lo per axis of its prefix entry, negated once per
     lo.  Boxes span the outer product of the bounds' entries.
     """
+    import numpy as np
+
     total = 0
     for choice in itertools.product((0, 1), repeat=len(bounds)):
         term = prefix[np.ix_(*(b[c] for b, c in zip(bounds, choice)))]
@@ -395,6 +409,8 @@ def extreme_disc_grid(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> Disc
     prefix entries ``u`` and ``l - 1`` of each axis, the open box
     ``(c_l, c_u)`` entries ``u - 1`` and ``l`` (none when ``u = l``).
     """
+    import numpy as np
+
     columns, scales, mode = _normalize(points)
     n, d = len(columns[0]), len(columns)
     corners, closed = _critical_grid(columns, scales)
@@ -447,6 +463,8 @@ def star_disc_bracket(points, k: int, *, work_budget: int = DEFAULT_WORK_BUDGET)
     the true supremum exceeds the lattice maximum by at most d/k.  A lattice
     of more than ``work_budget`` corners, (k + 1)^d, is refused.
     """
+    import numpy as np
+
     columns, scales, _ = _normalize(points)  # brackets certify an interval; callers note the representation
     if k < 2:
         raise ValidationError("bracket resolution must be >= 2")

@@ -43,8 +43,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .algebra import (
     FixedPointReal,
@@ -57,6 +56,9 @@ from .algebra import (
     poly_gcd,
 )
 from .errors import LowdiscError, TruncationError, ValidationError
+
+if TYPE_CHECKING:  # numpy is imported inside the functions that build arrays
+    import numpy as np
 
 __all__ = [
     "Columns",
@@ -220,6 +222,8 @@ def _digit_column(indices, q: int, m: int, matrix=None) -> np.ndarray:
     through ``matrix`` (L rows of m entries over Z_q; None is the identity
     with L = m) and read back as base-q digits, most significant first.
     """
+    import numpy as np
+
     idx = int_array(indices, (indices[-1] if indices else 0) + 1)
     if matrix is not None:
         matrix = int_array(matrix, m * q * q + 1)
@@ -240,6 +244,8 @@ def _digits_value(digits: np.ndarray, q: int) -> np.ndarray:
     """The integers whose base-q digits are the rows of ``digits``, most
     significant first; int64 words of g digits, joined in Python ints past
     2^63."""
+    import numpy as np
+
     g = 1
     while q ** (g + 1) < 1 << 63:
         g += 1
@@ -302,6 +308,8 @@ class Kronecker:
 
     def batch(self, indices) -> Columns:
         """n a_j mod 2^W in Python ints, over 2^W."""
+        import numpy as np
+
         if indices and indices[0] < 0:
             raise ValidationError("index must be nonnegative")
         if indices:  # the budget only shrinks as n grows

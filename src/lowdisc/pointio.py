@@ -299,7 +299,10 @@ def format_coordinate(value: Fraction, decimal: int | None) -> str:
 def _format_ratio(num: int, den: int, decimal: int | None) -> str:
     """:func:`format_coordinate` of ``num / den``."""
     if decimal is None:
-        g = gcd(num, den)
+        if den & (den - 1):
+            g = gcd(num, den)
+        else:  # a power of two: the gcd is the numerator's lowest set bit
+            g = min(num & -num, den) if num else den
         return f"{num // g}/{den // g}" if g != den else str(num // g)
     if decimal < 1:
         raise ValidationError("decimal digit count must be >= 1")

@@ -258,6 +258,11 @@ def test_benchmark_tracer_still_wraps_the_program(tmp_path):
         assert cli.main(["experiment", "--preset", "halton-2-3", "--schedule", "16,32", "--out", str(table)]) == 0
     finally:
         tracer.remove()
+    import lowdisc
+
+    # package names resolve from their modules at each access, so none outlives remove()
+    assert (lowdisc.compute_discrepancy is lowdisc.discrepancy.compute_discrepancy
+            and lowdisc.discrepancy.compute_discrepancy.__qualname__ == "compute_discrepancy")
     metrics = tracer.metrics()
     assert metrics["discrepancy.star_disc_exact.corners"] == 17 * 17
     assert metrics["pointio.read_points.rows"] == 16

@@ -216,6 +216,34 @@ def test_littlewood_running_minimum_is_nonincreasing():
         prev = res.min_value
 
 
+def littlewood_reference(alpha, beta, n_max):
+    """Minimum and first argmin of n ||n a|| ||n b|| over 2^w, by the
+    definition: one product per n, min of the two distances."""
+    one = 1 << alpha.width
+
+    def dist(x):
+        return min(x % one, one - x % one)
+
+    return min((n * dist(n * alpha.frac_bits) * dist(n * beta.frac_bits), n) for n in range(1, n_max + 1))
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [
+        (fixedpoint_sqrt(2, 128), fixedpoint_sqrt(3, 128)),
+        (golden_ratio_frac(96), fixedpoint_sqrt(7, 96)),
+        # dyadic and truncated rationals: zero products and ties between n
+        (FixedPointReal.from_fraction(Fraction(3, 8), 64), FixedPointReal.from_fraction(Fraction(1, 3), 64)),
+    ],
+)
+def test_littlewood_running_residues_match_definition(alpha, beta):
+    one = 1 << alpha.width
+    for n_max in (1, 2, 7, 100, 2000):
+        res = littlewood_scan(alpha, beta, n_max)
+        value, argmin = littlewood_reference(alpha, beta, n_max)
+        assert (res.min_value, res.argmin) == (Fraction(value, one * one), argmin)
+
+
 def test_littlewood_guards():
     with pytest.raises(ValidationError):
         littlewood_scan(fixedpoint_sqrt(2, 64), fixedpoint_sqrt(3, 128), 10)

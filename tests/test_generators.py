@@ -376,6 +376,24 @@ def test_point_file_round_trip_exact():
     assert not back.columns.tag.coerced
 
 
+def test_frac_rendering_reduces_like_fraction():
+    # power-of-two scales reduce by the numerator's lowest set bit, others by gcd
+    from lowdisc.pointio import _format_ratio
+
+    rng = random.Random(11)
+    for den in (1, 2, 1 << 64, 1 << 192, 3, 10**6, 3 << 20):
+        nums = [0, 1, -1, den - 1, den, -den, 2 * den]
+        nums += [rng.randrange(-4 * den, 4 * den) for _ in range(40)]
+        nums += [(rng.randrange(den) >> k) << k for k in range(0, 200, 7)]
+        for num in nums:
+            assert _format_ratio(num, den, None) == str(Fraction(num, den))
+    ps = stream(parse_spec("kronecker:width=192,alphas=sqrt2|golden|3/8"), 0, 64)
+    buf = io.StringIO()
+    write_points(ps, buf)
+    lines = buf.getvalue().splitlines()[1:]
+    assert lines == ["\t".join(map(str, row)) for row in ps.rows()]
+
+
 def test_point_file_decimal_format():
     ps = stream(Halton((2,)), 0, 4)
     buf = io.StringIO()
