@@ -1,13 +1,14 @@
 """Point sequences on the unit cube, exact discrepancy, and diophantine scans.
 
-The package splits into five parts:
+The package splits into six parts:
 
 * :mod:`lowdisc.algebra` - exact substrate (prime fields, generating
   matrices, truncated Laurent series, fixed-point reals);
 * :mod:`lowdisc.generators` - the sequence families and their hybrids;
 * :mod:`lowdisc.discrepancy` - exact and bracketed (star) discrepancy;
 * :mod:`lowdisc.diophantine` - continued fractions and counting scans;
-* :mod:`lowdisc.experiments` - scaling studies, fits, vector scans, presets.
+* :mod:`lowdisc.experiments` - scaling studies, vector scans, presets;
+* :mod:`lowdisc.fit` - exponent fits of scaling tables.
 
 :mod:`lowdisc.cli` exposes all of it as the ``lowdisc`` command.
 
@@ -22,7 +23,6 @@ from importlib import import_module as _import_module
 # Submodule -> the names the package re-exports from it.
 _EXPORTS = {
     "algebra": (
-        "Fq",
         "FixedPointReal",
         "GenMatrix",
         "LaurentSeries",
@@ -55,13 +55,12 @@ _EXPORTS = {
     "errors": ("BudgetError", "LowdiscError", "PrecisionError", "TruncationError", "ValidationError"),
     "experiments": (
         "ExperimentPlan",
-        "FitResult",
-        "fit_exponent",
         "lattice_scan",
         "preset",
         "preset_names",
         "run_scaling",
     ),
+    "fit": ("FitResult", "fit_exponent"),
     "generators": (
         "Digital",
         "DigitSumFiltered",

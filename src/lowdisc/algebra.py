@@ -3,8 +3,7 @@ truncated formal Laurent series, and fixed-point carriers for irrationals.
 
 Conventions used throughout the package:
 
-* Elements of Z_q are plain ints in ``[0, q)``; :class:`Fq` wraps one value
-  together with its modulus for field-law checking and safe mixing.
+* Elements of Z_q are plain ints in ``[0, q)``.
 * Polynomials over Z_q are tuples of coefficients in ascending order,
   ``(c0, c1, ...)`` for ``c0 + c1*x + ...``, trimmed so the last entry is
   nonzero (the zero polynomial is the empty tuple).
@@ -37,7 +36,6 @@ if TYPE_CHECKING:  # numpy is imported inside the functions that build arrays
     import numpy as np
 
 __all__ = [
-    "Fq",
     "FixedPointReal",
     "GenMatrix",
     "LaurentSeries",
@@ -101,52 +99,6 @@ def int_array(values, bound: int) -> np.ndarray:
     if isinstance(values, range):
         return np.arange(values.start, values.stop, values.step, dtype=np.int64)
     return np.asarray(values, dtype=np.int64)
-
-
-# ---------------------------------------------------------------------------
-# Prime field elements
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Fq:
-    """An element of the prime field Z_q, kept reduced mod q."""
-
-    q: int
-    value: int
-
-    def __post_init__(self) -> None:
-        _check_prime(self.q)
-        if not 0 <= self.value < self.q:
-            raise ValidationError(f"value {self.value} outside [0, {self.q})")
-
-    def _join(self, other: "Fq") -> None:
-        if not isinstance(other, Fq) or other.q != self.q:
-            raise ValidationError("mixed moduli in field operation")
-
-    def __add__(self, other: "Fq") -> "Fq":
-        self._join(other)
-        return Fq(self.q, (self.value + other.value) % self.q)
-
-    def __sub__(self, other: "Fq") -> "Fq":
-        self._join(other)
-        return Fq(self.q, (self.value - other.value) % self.q)
-
-    def __mul__(self, other: "Fq") -> "Fq":
-        self._join(other)
-        return Fq(self.q, (self.value * other.value) % self.q)
-
-    def __neg__(self) -> "Fq":
-        return Fq(self.q, (-self.value) % self.q)
-
-    def inverse(self) -> "Fq":
-        if self.value == 0:
-            raise ValidationError("zero has no multiplicative inverse")
-        return Fq(self.q, pow(self.value, self.q - 2, self.q))
-
-    def __truediv__(self, other: "Fq") -> "Fq":
-        self._join(other)
-        return self * other.inverse()
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,7 @@ def _cmd_fit(args) -> None:
     import csv
     from fractions import Fraction
 
-    from .experiments import fit_exponent
+    from .fit import fit_exponent
 
     with open(args.infile, encoding="utf-8") as fh:
         reader = csv.DictReader(fh)

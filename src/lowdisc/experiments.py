@@ -1,5 +1,5 @@
-"""Experiment harness: discrepancy scaling tables, exponent fits, and
-generating-vector scans.
+"""Experiment harness: discrepancy scaling tables and generating-vector
+scans.  The exponent fits of :mod:`lowdisc.fit` are re-exported here.
 
 Schedules default to geometric growth in N because every comparison of
 interest is against polylog(N)/N laws; linear schedules waste budget.
@@ -22,6 +22,7 @@ from fractions import Fraction
 from .algebra import GenMatrix, fixedpoint_sqrt
 from .discrepancy import DiscrepancyResult, compute_discrepancy
 from .errors import BudgetError, LowdiscError, ValidationError
+from .fit import FitResult, fit_exponent
 from .generators import (
     Digital,
     DigitSumFiltered,
@@ -50,7 +51,6 @@ __all__ = [
     "preset",
     "preset_names",
     "random_digital_spec",
-    "random_finite_row_digital_spec",
     "run_scaling",
     "scaling_csv",
 ]
@@ -176,52 +176,6 @@ def scaling_csv(rows: list[ScalingRow], decimal: int | None = None) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Exponent fitting
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FitResult:
-    exponent: float
-    intercept: float
-    residual_norm: float
-    sample_count: int
-
-
-def fit_exponent(rows) -> FitResult:
-    """Ordinary least squares of ln(N * D) against ln ln N.
-
-    Accepts :class:`ScalingRow` lists or (n, value) pairs; rows need n >= 16
-    so ln ln n is safely positive, and at least three usable samples.
-    """
-    samples: list[tuple[int, float]] = []
-    for row in rows:
-        if isinstance(row, ScalingRow):
-            if row.result is None:
-                continue
-            samples.append((row.n, float(row.result.midpoint)))
-        else:
-            n, value = row
-            samples.append((int(n), float(value)))
-    samples = [(n, v) for n, v in samples if n >= 16 and v > 0]
-    if len(samples) < 3:
-        raise ValidationError("need at least three rows with N >= 16 and positive values")
-    xs = [math.log(math.log(n)) for n, _ in samples]
-    ys = [math.log(n * v) for n, v in samples]
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    var = sum((x - mean_x) ** 2 for x in xs)
-    if var == 0:
-        raise ValidationError("degenerate design: all N equal")
-    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / var
-    intercept = mean_y - slope * mean_x
-    residual = math.sqrt(sum((y - (intercept + slope * x)) ** 2 for x, y in zip(xs, ys)))
-    return FitResult(
-        exponent=slope, intercept=intercept, residual_norm=residual, sample_count=len(samples)
-    )
-
-
-# ---------------------------------------------------------------------------
 # Lattice generating-vector scans
 # ---------------------------------------------------------------------------
 
@@ -240,7 +194,7 @@ class LatticeScanSummary:
 
 QUANTILE_PERCENTS = (1, 10, 50, 90, 99)
 
-# Most generating vectors an exhaustive lattice scan walks.
+# Most generating vectors a lattice scan evaluates, in either mode.
 MAX_SCAN_VECTORS = 200_000
 
 
@@ -254,8 +208,9 @@ def lattice_scan(
 ) -> LatticeScanSummary:
     """Distribution of the star discrepancy over lattice generating vectors.
 
-    ``exhaustive`` walks all size^dim vectors (budget-capped); ``sample``
-    draws ``count`` vectors from a seeded generator.  Dimension 2 uses the
+    ``exhaustive`` walks all size^dim vectors; ``sample`` draws ``count``
+    vectors from a seeded generator.  Both refuse more than
+    ``MAX_SCAN_VECTORS`` vectors before evaluating any.  Dimension 2 uses the
     exact sweep, dimension 3 the exact corner grid; higher dimensions are
     not supported exactly.
     """
@@ -273,6 +228,8 @@ def lattice_scan(
             raise ValidationError("sample mode needs count and seed")
         if count < 1:
             raise ValidationError("sample count must be >= 1")
+        if count > MAX_SCAN_VECTORS:
+            raise BudgetError(f"{count} vectors exceed the cap of {MAX_SCAN_VECTORS}")
         rng = random.Random(f"lattice-scan:{size}:{dim}:{seed}")
         vectors = [tuple(rng.randrange(size) for _ in range(dim)) for _ in range(count)]
     else:
@@ -326,19 +283,6 @@ def random_digital_spec(q: int, dim: int, n_max: int, seed: int) -> Digital:
     index below n_max at the matching precision."""
     cap = _depth_cap(q, n_max)
     mats = tuple(GenMatrix.random_uniform(q, cap, seed=seed + j) for j in range(dim))
-    return Digital(q, mats, precision=cap)
-
-
-def random_finite_row_digital_spec(
-    q: int, dim: int, n_max: int, seed: int, rho: Fraction = Fraction(1, 2)
-) -> Digital:
-    """Digital spec with random finite-row matrices (geometric row lengths,
-    continuation probability 1 - rho).  The distribution is an explicit
-    convention of this package, not a canonical measure."""
-    cap = _depth_cap(q, n_max)
-    mats = tuple(
-        GenMatrix.random_finite_rows(q, cap, seed=seed + j, rho=rho) for j in range(dim)
-    )
     return Digital(q, mats, precision=cap)
 
 

@@ -22,8 +22,7 @@ Coordinates come in two representations and never mix inside one point set:
 
 * exact rationals for Halton, digital, lattice, rational-function, and
   power-ratio constructions;
-* fixed-point fractional parts over 2^W for Kronecker-type constructions,
-  with one exactness flag per coordinate.
+* fixed-point fractional parts over 2^W for Kronecker-type constructions.
 
 A hybrid whose halves disagree coerces the exact side into the fixed-point
 width of the other side (never the reverse) and records the coercion in the
@@ -119,21 +118,17 @@ class Columns:
 
     Coordinate j of point i is ``columns[j][i] / scales[j]``.  An array is
     int64, or holds Python ints where int64 arithmetic could overflow.
-    Fixed-point batches also carry ``exact[j][i]``, whether that coordinate
-    is error-free.  The tag decides what a discrepancy of the batch
-    certifies; ``rows()`` is a ``Fraction`` view built on demand.
+    The tag decides what a discrepancy of the batch certifies; ``rows()``
+    is a ``Fraction`` view built on demand.
     """
 
     columns: tuple
     scales: tuple[int, ...]
     tag: ReprTag
-    exact: tuple = ()
 
     def __post_init__(self) -> None:
         if len(self.columns) != len(self.scales) or len({len(c) for c in self.columns}) > 1:
             raise ValidationError("columns need one scale each and one common length")
-        if len(self.exact) != (len(self.columns) if self.tag.kind == "fixedpoint" else 0):
-            raise ValidationError("fixed-point columns need one exactness flag array per axis")
 
     @classmethod
     def from_ratios(cls, axes, tag: ReprTag) -> "Columns":
@@ -164,7 +159,7 @@ class Columns:
         """The first n points, of the same class and sharing this batch's arrays."""
         if not 0 <= n <= self.count:
             raise ValidationError(f"prefix of {n} points from a set of {self.count}")
-        return replace(self, columns=tuple(c[:n] for c in self.columns), exact=tuple(e[:n] for e in self.exact))
+        return replace(self, columns=tuple(c[:n] for c in self.columns))
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -308,8 +303,6 @@ class Kronecker:
 
     def batch(self, indices) -> Columns:
         """n a_j mod 2^W in Python ints, over 2^W."""
-        import numpy as np
-
         if indices and indices[0] < 0:
             raise ValidationError("index must be nonnegative")
         if indices:  # the budget only shrinks as n grows
@@ -318,8 +311,7 @@ class Kronecker:
         w = self.width
         mask = (1 << w) - 1
         columns = tuple(int_array([(n * a.frac_bits) & mask for n in indices], 1 << w) for a in self.alphas)
-        exact = tuple(np.full(len(indices), a.exact) for a in self.alphas)
-        return Columns(columns, (1 << w,) * self.dim, ReprTag("fixedpoint", w), exact)
+        return Columns(columns, (1 << w,) * self.dim, ReprTag("fixedpoint", w))
 
 
 @dataclass(frozen=True)
@@ -595,18 +587,15 @@ SequenceSpec = (
 
 
 def _coerce(batch: Columns, width: int) -> Columns:
-    """Floor an exact batch onto the grid 2^-width, ``(num << width) // den``,
-    flagging the coordinates that lose nothing; fixed-point batches pass."""
+    """Floor an exact batch onto the grid 2^-width, ``(num << width) // den``;
+    fixed-point batches pass."""
     if batch.tag.kind == "fixedpoint":
         return batch
     one = 1 << width
-    columns, exact = [], []
-    for col, den in zip(batch.columns, batch.scales):
-        scaled = col.astype(object) * one
-        bits = scaled // den
-        columns.append(int_array(bits, one))
-        exact.append(bits * den == scaled)
-    return Columns(tuple(columns), (one,) * len(columns), ReprTag("fixedpoint", width, coerced=True), tuple(exact))
+    columns = tuple(
+        int_array(col.astype(object) * one // den, one) for col, den in zip(batch.columns, batch.scales)
+    )
+    return Columns(columns, (one,) * len(columns), ReprTag("fixedpoint", width, coerced=True))
 
 
 def _combine(a: Columns, b: Columns) -> Columns:
@@ -624,7 +613,7 @@ def _combine(a: Columns, b: Columns) -> Columns:
         width = (a if a.tag.kind == "fixedpoint" else b).tag.width
         a, b = _coerce(a, width), _coerce(b, width)
         tag = ReprTag("fixedpoint", width, coerced=True)
-    return Columns(a.columns + b.columns, a.scales + b.scales, tag, a.exact + b.exact)
+    return Columns(a.columns + b.columns, a.scales + b.scales, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -648,4 +637,4 @@ def stream(spec: SequenceSpec, start: int, count: int) -> PointSet:
         for n in indices:  # raise what the first failing index raises alone
             spec.batch((n,))
         raise
-    return PointSet(batch.columns, batch.scales, batch.tag, batch.exact, spec=spec, start=start)
+    return PointSet(batch.columns, batch.scales, batch.tag, spec=spec, start=start)

@@ -340,10 +340,6 @@ class ReadPoints:
         """The points as ``Fraction`` tuples, built on demand."""
         return tuple(self.columns.rows())
 
-    @property
-    def dim(self) -> int:
-        return self.columns.dim or int(self.header.get("dim", 0))
-
 
 def _ratio(token: str) -> tuple[int, int]:
     """Numerator and denominator of a coordinate token.  ``p/q`` and

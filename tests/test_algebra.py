@@ -7,7 +7,6 @@ from math import isqrt
 import pytest
 
 from lowdisc.algebra import (
-    Fq,
     FixedPointReal,
     GenMatrix,
     LaurentSeries,
@@ -26,43 +25,14 @@ from lowdisc.algebra import (
 from lowdisc.errors import PrecisionError, TruncationError, ValidationError
 
 
-# -- prime fields -----------------------------------------------------------
-
-
-@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
-def test_field_laws_by_exhaustion(q: int) -> None:
-    elems = [Fq(q, v) for v in range(q)]
-    one = Fq(q, 1 % q)
-    for a in elems:
-        for b in elems:
-            assert a + b == b + a
-            assert a * b == b * a
-            for c in elems:
-                assert (a + b) + c == a + (b + c)
-                assert (a * b) * c == a * (b * c)
-                assert a * (b + c) == a * b + a * c
-        if a.value != 0:
-            assert a * a.inverse() == one
+# -- prime moduli -----------------------------------------------------------
 
 
 @pytest.mark.parametrize("q", [0, 1, 4, 6, 9, 15])
 def test_composite_modulus_rejected(q: int) -> None:
     assert not is_prime(q)
     with pytest.raises(ValidationError):
-        Fq(q, 0)
-
-
-def test_field_value_range_and_mixing() -> None:
-    with pytest.raises(ValidationError):
-        Fq(5, 5)
-    with pytest.raises(ValidationError):
-        Fq(5, -1)
-    with pytest.raises(ValidationError):
-        Fq(5, 1) + Fq(7, 1)
-    with pytest.raises(ValidationError):
-        Fq(5, 0).inverse()
-    assert Fq(7, 3) / Fq(7, 5) == Fq(7, 3) * Fq(7, 5).inverse()
-    assert -Fq(7, 2) == Fq(7, 5)
+        GenMatrix.identity(q)
 
 
 # -- polynomials --------------------------------------------------------------

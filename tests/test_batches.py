@@ -55,12 +55,10 @@ EXACT = ReprTag("exact")
 
 
 class Ref(NamedTuple):
-    """One reference point: its coordinates, its tag, and (fixed point only)
-    whether each coordinate is error-free."""
+    """One reference point: its coordinates and its tag."""
 
     coords: tuple
     tag: ReprTag
-    exact: tuple = ()
 
 
 def _series_digits(f: LaurentSeries, n: int, depth: int) -> Fraction:
@@ -77,7 +75,7 @@ def reference_point(spec, n: int) -> Ref:
         for a in spec.alphas:
             check_index_budget(a, n)
         coords = tuple(Fraction(n * a.frac_bits % (1 << w), 1 << w) for a in spec.alphas)
-        return Ref(coords, ReprTag("fixedpoint", w), tuple(a.exact for a in spec.alphas))
+        return Ref(coords, ReprTag("fixedpoint", w))
     if isinstance(spec, Digital):
         coords = []
         for mat in spec.matrices:
@@ -109,23 +107,20 @@ def reference_point(spec, n: int) -> Ref:
         a, b = reference_point(spec.left, n), reference_point(spec.right, n)
         coerced = a.tag.coerced or b.tag.coerced
         if a.tag.kind == b.tag.kind:
-            return Ref(a.coords + b.coords, ReprTag(a.tag.kind, a.tag.width, coerced), a.exact + b.exact)
+            return Ref(a.coords + b.coords, ReprTag(a.tag.kind, a.tag.width, coerced))
         w = (a if a.tag.kind == "fixedpoint" else b).tag.width
 
         def fixed(p):
             if p.tag.kind == "fixedpoint":
-                return p.coords, p.exact
-            carriers = [FixedPointReal.from_fraction(c, w) for c in p.coords]
-            return tuple(c.frac_value for c in carriers), tuple(c.exact for c in carriers)
+                return p.coords
+            return tuple(FixedPointReal.from_fraction(c, w).frac_value for c in p.coords)
 
-        (ca, ea), (cb, eb) = fixed(a), fixed(b)
-        return Ref(ca + cb, ReprTag("fixedpoint", w, coerced=True), ea + eb)
+        return Ref(fixed(a) + fixed(b), ReprTag("fixedpoint", w, coerced=True))
     raise TypeError(f"no reference for {spec!r}")
 
 
 def _as_refs(ps: PointSet) -> list[Ref]:
-    flags = list(zip(*(e.tolist() for e in ps.exact))) or [()] * ps.count
-    return [Ref(row, ps.tag, ex) for row, ex in zip(ps.rows(), flags)]
+    return [Ref(row, ps.tag) for row in ps.rows()]
 
 
 ONES3 = GenMatrix.ones_first_row(3)
@@ -183,8 +178,6 @@ def test_columns_check_their_shape():
         Columns((np.arange(3), np.arange(2)), (4, 4), EXACT)
     with pytest.raises(ValidationError):
         Columns((np.arange(3),), (4, 4), EXACT)
-    with pytest.raises(ValidationError):
-        Columns((np.arange(3),), (4,), ReprTag("fixedpoint", 8))
     batch = Columns.from_ratios([[(1, 2), (1, 3)], [(0, 1), (3, 4)]], EXACT)
     assert (batch.count, batch.dim, batch.scales) == (2, 2, (6, 4))
     assert batch.rows() == [(Fraction(1, 2), Fraction(0)), (Fraction(1, 3), Fraction(3, 4))]
@@ -195,12 +188,6 @@ def test_hybrid_coercion_flags_and_mode():
     spec = FAMILIES["hybrid-exact-left"]
     ps = stream(spec, 0, 4)
     assert ps.tag.as_text() == "fixedpoint(96)+coerced"
-    # 0 coerces exactly, 1/3 and 2/3 do not; the rotation keeps its own flag
-    assert ps.exact[0].tolist() == [True, False, False, False]
-    assert ps.exact[0].tolist()[:3] == [
-        FixedPointReal.from_fraction(radical_inverse(n, 3), 96).exact for n in range(3)
-    ]
-    assert not ps.exact[1].any()
     assert compute_discrepancy(ps).mode == "exact-represented"
     assert compute_discrepancy(stream(FAMILIES["hybrid-exact-pair"], 0, 9)).mode == "exact"
 
@@ -310,7 +297,7 @@ def test_1d_closed_forms_match_oracle_on_point_sets():
     wide = Hybrid(Halton((3,)), Kronecker((FixedPointReal.from_fraction(Fraction(1, 4), 12),)))
     for start in (0, 4, 9):
         b = wide.batch(range(start, start + 8))
-        ps = PointSet(b.columns[:1], b.scales[:1], b.tag, b.exact[:1], spec=Halton((3,)), start=start)
+        ps = PointSet(b.columns[:1], b.scales[:1], b.tag, spec=Halton((3,)), start=start)
         _check_1d(ps)
         assert star_disc_1d(ps).mode == "exact-represented"
         assert ps.rows() != stream(Halton((3,)), start, 8).rows()  # coercion moved the points

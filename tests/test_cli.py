@@ -89,7 +89,7 @@ def test_point_files_read_back_as_columns(tmp_path, spec, decimal):
     want = _fraction_rows(pts.read_text())
     with open(pts, encoding="utf-8") as fh:
         back = read_points(fh)
-    assert back.rows == want and back.dim == len(want[0])
+    assert back.rows == want and back.columns.dim == len(want[0])
     # disc reports what the per-token Fraction rows give
     code, out, err = run_cli("disc", "--in", str(pts))
     assert code == 0, err
@@ -179,6 +179,19 @@ def test_scan_lattice_command():
     code, _, _ = run_cli("scan-lattice", "--N", "9", "--d", "2", "--mode", "sample",
                          "--count", "10", "--seed", "3")
     assert code == 0
+
+
+def test_scan_lattice_sample_count_is_capped(monkeypatch):
+    from lowdisc.experiments import MAX_SCAN_VECTORS
+
+    def refuse(*args):
+        raise AssertionError("a vector past the scan cap was evaluated")
+
+    monkeypatch.setattr("lowdisc.experiments.lattice_point_set", refuse)
+    code, _, err = run_cli("scan-lattice", "--N", "5", "--d", "2", "--mode", "sample",
+                           "--count", str(MAX_SCAN_VECTORS + 1), "--seed", "1")
+    assert code == 3
+    assert err.startswith("budget exceeded:")
 
 
 def test_experiment_preset_and_fit_pipeline(tmp_path):

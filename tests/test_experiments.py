@@ -9,6 +9,7 @@ from lowdisc.algebra import fixedpoint_sqrt
 from lowdisc.discrepancy import star_disc_2d_sweep
 from lowdisc.errors import BudgetError, ValidationError
 from lowdisc.experiments import (
+    MAX_SCAN_VECTORS,
     ExperimentPlan,
     ScalingRow,
     fit_exponent,
@@ -18,7 +19,6 @@ from lowdisc.experiments import (
     preset,
     preset_names,
     random_digital_spec,
-    random_finite_row_digital_spec,
     run_scaling,
     scaling_csv,
 )
@@ -204,6 +204,17 @@ def test_lattice_scan_guards():
         lattice_scan(5, 2, "sample")
 
 
+def _refuse_evaluation(*args):
+    raise AssertionError("a vector past the scan cap was evaluated")
+
+
+def test_lattice_scan_sample_count_is_capped(monkeypatch):
+    # the cap is checked before any vector is drawn or evaluated
+    monkeypatch.setattr("lowdisc.experiments.lattice_point_set", _refuse_evaluation)
+    with pytest.raises(BudgetError, match=str(MAX_SCAN_VECTORS)):
+        lattice_scan(5, 2, "sample", count=MAX_SCAN_VECTORS + 1, seed=1)
+
+
 def test_lattice_scan_csv():
     text = lattice_scan_csv(lattice_scan(5, 2))
     lines = text.strip().split("\n")
@@ -220,10 +231,6 @@ def test_random_digital_specs_are_deterministic():
     a = random_digital_spec(3, 2, 4096, seed=5)
     b = random_digital_spec(3, 2, 4096, seed=5)
     assert stream(a, 0, 16).rows() == stream(b, 0, 16).rows()
-    fr = random_finite_row_digital_spec(3, 2, 4096, seed=5)
-    for p in stream(fr, 0, 32).rows():
-        for c in p:
-            assert 0 <= c < 1
 
 
 # -- presets ------------------------------------------------------------------------------------

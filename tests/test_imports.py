@@ -19,7 +19,7 @@ import lowdisc
 
 # The names ``lowdisc`` exported when its __init__ imported every submodule.
 OLD_NAMESPACE = {
-    "algebra": "Fq FixedPointReal GenMatrix LaurentSeries fixedpoint_sqrt golden_ratio_frac",
+    "algebra": "FixedPointReal GenMatrix LaurentSeries fixedpoint_sqrt golden_ratio_frac",
     "discrepancy": "DiscrepancyResult brute_force_oracle compute_discrepancy extreme_disc_1d"
     " extreme_disc_grid star_disc_1d star_disc_2d_sweep star_disc_bracket star_disc_exact",
     "diophantine": "PhiSpec cf_rational cf_surd largest_quotient_2k_sqrt2 littlewood_scan"
@@ -91,6 +91,19 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(lowdisc, "UnitPoint")
 
 
+def assert_loads_only(argv, cwd, modules) -> None:
+    """The command succeeds without numpy and loads ``modules`` beyond the
+    package, its CLI and its errors."""
+    result = probe(argv, cwd)
+    assert result["code"] == 0
+    assert not result["numpy"]
+    assert result["lowdisc"] == sorted(["lowdisc", "lowdisc.cli", "lowdisc.errors", *modules])
+
+
+# A scaling table for ``fit``.
+TABLE = "N,value\n16,1/4\n32,1/8\n64,1/16\n"
+
+
 def test_bare_import_loads_no_submodule(tmp_path):
     result = probe(None, tmp_path)
     assert result["lowdisc"] == ["lowdisc"]
@@ -106,12 +119,12 @@ SCANS = [
 
 @pytest.mark.parametrize("argv", SCANS, ids=lambda a: a[0])
 def test_diophantine_scans_load_only_diophantine_and_algebra(argv, tmp_path):
-    result = probe(argv, tmp_path)
-    assert result["code"] == 0
-    assert not result["numpy"]
-    assert result["lowdisc"] == sorted(
-        ["lowdisc", "lowdisc.cli", "lowdisc.errors", "lowdisc.diophantine", "lowdisc.algebra"]
-    )
+    assert_loads_only(argv, tmp_path, ["lowdisc.diophantine", "lowdisc.algebra"])
+
+
+def test_fit_loads_only_fit(tmp_path):
+    (tmp_path / "table.csv").write_text(TABLE, encoding="utf-8")
+    assert_loads_only(["fit", "--in", "table.csv"], tmp_path, ["lowdisc.fit"])
 
 
 @pytest.mark.parametrize(
@@ -125,7 +138,7 @@ def test_diophantine_scans_load_only_diophantine_and_algebra(argv, tmp_path):
     ids=lambda a: a[0].lstrip("-"),
 )
 def test_array_free_commands_do_not_load_numpy(argv, tmp_path):
-    (tmp_path / "table.csv").write_text("N,value\n16,1/4\n32,1/8\n64,1/16\n", encoding="utf-8")
+    (tmp_path / "table.csv").write_text(TABLE, encoding="utf-8")
     result = probe(argv, tmp_path)
     assert result["code"] == 0
     assert not result["numpy"]
