@@ -46,9 +46,7 @@ _EXPORTS = {
         "cf_surd",
         "largest_quotient_2k_sqrt2",
         "littlewood_scan",
-        "max_partial_quotient_of_real",
         "moser_scan",
-        "running_max_quotient_2k_sqrt2",
         "schmidt_count",
         "zaremba_scan",
     ),

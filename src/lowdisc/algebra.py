@@ -192,28 +192,26 @@ class GenMatrix:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GenMatrix(q={self.q}, label={self.label!r})"
 
-    def _check_index(self, r: int, c: int) -> None:
-        if r < 0 or c < 0:
+    def row_prefix(self, r: int, m: int) -> tuple[int, ...]:
+        """First ``m`` entries of row ``r``; deterministic."""
+        if m < 1:
+            return ()
+        if r < 0:
             raise ValidationError("matrix indices must be nonnegative")
         if self._max_rows is not None and r >= self._max_rows:
             raise ValidationError(
                 f"matrix {self.label!r} is capped at {self._max_rows} rows; row {r} undefined"
             )
-        if self._max_cols is not None and c >= self._max_cols:
+        if self._max_cols is not None and m > self._max_cols:
             raise ValidationError(
-                f"matrix {self.label!r} is capped at {self._max_cols} columns; column {c} undefined"
+                f"matrix {self.label!r} is capped at {self._max_cols} columns; "
+                f"column {self._max_cols} undefined"
             )
-
-    def entry(self, r: int, c: int) -> int:
-        self._check_index(r, c)
-        v = self._entry_fn(r, c)
-        if not 0 <= v < self.q:
-            raise ValidationError(f"matrix entry {v!r} outside [0, {self.q})")
-        return v
-
-    def row_prefix(self, r: int, m: int) -> tuple[int, ...]:
-        """First ``m`` entries of row ``r``; deterministic."""
-        return tuple(self.entry(r, c) for c in range(m))
+        row = tuple(self._entry_fn(r, c) for c in range(m))
+        for v in row:
+            if not 0 <= v < self.q:
+                raise ValidationError(f"matrix entry {v!r} outside [0, {self.q})")
+        return row
 
     # -- named constructions -------------------------------------------------
 
@@ -553,10 +551,6 @@ class FixedPointReal:
     @property
     def frac_value(self) -> Fraction:
         return Fraction(self.frac_bits, 1 << self.width)
-
-    @property
-    def error_bound(self) -> Fraction:
-        return Fraction(0) if self.exact else Fraction(1, 1 << self.width)
 
 
 def fixedpoint_sqrt(d: int, width: int) -> FixedPointReal:

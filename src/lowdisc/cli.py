@@ -46,6 +46,18 @@ def _read_keyvalue_file(path: str) -> dict[str, str]:
     return out
 
 
+def _int(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"{what}: {text!r} is not an integer") from None
+
+
+def _ints(text: str, what: str) -> tuple[int, ...]:
+    """The integers of a comma- or blank-separated list."""
+    return tuple(_int(v, what) for v in text.replace(",", " ").split())
+
+
 def _spec_from_arg(arg: str):
     from .pointio import parse_spec
 
@@ -64,14 +76,17 @@ def _plan_from_file(path: str):
     cfg = _read_keyvalue_file(path)
     if "spec" not in cfg or "schedule" not in cfg:
         raise ValidationError("plan files need at least 'spec' and 'schedule'")
-    schedule = tuple(int(v) for v in cfg["schedule"].replace(",", " ").split())
+    try:
+        norm_exponent = float(cfg.get("p", "1"))
+    except ValueError:
+        raise ValidationError(f"{path}: p: {cfg['p']!r} is not a number") from None
     return ExperimentPlan(
         spec=parse_spec(cfg["spec"]),
-        schedule=schedule,
+        schedule=_ints(cfg["schedule"], f"{path}: schedule"),
         kind=cfg.get("kind", "star"),
         algo=cfg.get("algo", "auto"),
-        bracket_k=int(cfg.get("k", "512")),
-        norm_exponent=float(cfg.get("p", "1")),
+        bracket_k=_int(cfg.get("k", "512"), f"{path}: k"),
+        norm_exponent=norm_exponent,
     )
 
 
@@ -116,10 +131,10 @@ def _cmd_cfrac(args) -> None:
     from .diophantine import cf_rational, cf_surd, largest_quotient_2k_sqrt2, scan_report_csv
 
     if args.rational is not None:
-        text = args.rational
-        if "/" not in text:
+        parts = args.rational.split("/")
+        if len(parts) != 2:
             raise ValidationError("--rational expects a/N")
-        a, n = (int(v) for v in text.split("/", 1))
+        a, n = (_int(v, "--rational") for v in parts)
         cf = cf_rational(a, n)
         body = "; ".join([str(cf.quotients[0]), ", ".join(map(str, cf.tail))]).rstrip("; ")
         _emit(f"{a}/{n} = [{body}]\n", args.out)
@@ -141,32 +156,22 @@ def _cmd_cfrac(args) -> None:
         _emit(scan_report_csv(("K", "A_K", "B_K"), rows), args.out)
 
 
-def _cmd_zaremba(args) -> None:
-    from .diophantine import scan_report_csv, zaremba_scan
+def _cmd_quotient_scan(args) -> None:
+    from . import diophantine
 
+    scan = getattr(diophantine, args.scan)
     rows = []
     for n in range(2, args.to + 1):
-        stat, witness = zaremba_scan(n)
+        stat, witness = scan(n)
         rows.append((n, stat, witness))
-    _emit(scan_report_csv(("N", "min_max_quotient", "witness"), rows), args.out)
-
-
-def _cmd_moser(args) -> None:
-    from .diophantine import moser_scan, scan_report_csv
-
-    rows = []
-    for n in range(2, args.to + 1):
-        stat, witness = moser_scan(n)
-        rows.append((n, stat, witness))
-    _emit(scan_report_csv(("N", "min_quotient_sum", "witness"), rows), args.out)
+    _emit(diophantine.scan_report_csv(args.header, rows), args.out)
 
 
 def _cmd_schmidt(args) -> None:
     from .diophantine import PhiSpec, schmidt_count
     from .pointio import format_coordinate
 
-    gens = tuple(int(v) for v in args.gens.replace(",", " ").split())
-    res = schmidt_count(args.h, gens, args.N, PhiSpec.parse(args.phi))
+    res = schmidt_count(args.h, _ints(args.gens, "--gens"), args.N, PhiSpec.parse(args.phi))
     text = (
         f"count={res.count}\n"
         f"main_term={format_coordinate(res.main_term, args.decimal)}\n"
@@ -195,7 +200,7 @@ def _cmd_experiment(args) -> None:
 
     schedule = None
     if args.schedule:
-        schedule = tuple(int(v) for v in args.schedule.replace(",", " ").split())
+        schedule = _ints(args.schedule, "--schedule")
     if args.preset:
         plan = preset(
             args.preset,
@@ -222,15 +227,22 @@ def _cmd_fit(args) -> None:
 
     with open(args.infile, encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
+        if "N" not in (reader.fieldnames or ()):
+            raise ValidationError(f"{args.infile}: the table has no N column")
         pairs = []
         for row in reader:
             if row.get("error"):
                 continue
-            n = int(row["N"])
-            if row.get("value"):
-                pairs.append((n, float(Fraction(row["value"]))))
-            elif row.get("lo") and row.get("hi"):
-                pairs.append((n, float((Fraction(row["lo"]) + Fraction(row["hi"])) / 2)))
+            try:
+                n = int(row["N"])
+                if row.get("value"):
+                    pairs.append((n, float(Fraction(row["value"]))))
+                elif row.get("lo") and row.get("hi"):
+                    pairs.append((n, float((Fraction(row["lo"]) + Fraction(row["hi"])) / 2)))
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ValidationError(
+                    f"{args.infile}:{reader.line_num}: N must be an integer and value, lo, hi fractions"
+                ) from None
     fit = fit_exponent(pairs)
     text = (
         f"exponent={fit.exponent:.12g}\n"
@@ -292,12 +304,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("zaremba", help="minimal largest partial quotient per modulus")
     p.add_argument("--to", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_zaremba)
+    p.set_defaults(func=_cmd_quotient_scan, scan="zaremba_scan",
+                   header=("N", "min_max_quotient", "witness"))
 
     p = sub.add_parser("moser", help="minimal partial-quotient sum per modulus")
     p.add_argument("--to", type=int, required=True)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_moser)
+    p.set_defaults(func=_cmd_quotient_scan, scan="moser_scan",
+                   header=("N", "min_quotient_sum", "witness"))
 
     p = sub.add_parser("schmidt", help="lattice fractional-part counting")
     p.add_argument("--h", type=int, required=True)

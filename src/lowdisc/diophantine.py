@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .algebra import FixedPointReal, check_index_budget
-from .errors import PrecisionError, ValidationError
+from .errors import ValidationError
 
 __all__ = [
     "LittlewoodResult",
@@ -47,9 +47,7 @@ __all__ = [
     "cf_surd",
     "largest_quotient_2k_sqrt2",
     "littlewood_scan",
-    "max_partial_quotient_of_real",
     "moser_scan",
-    "running_max_quotient_2k_sqrt2",
     "scan_report_csv",
     "schmidt_count",
     "zaremba_scan",
@@ -160,13 +158,6 @@ def largest_quotient_2k_sqrt2(k: int) -> int:
     if k < 0:
         raise ValidationError("k must be >= 0")
     return cf_surd(2 ** (2 * k + 1)).largest_quotient
-
-
-def running_max_quotient_2k_sqrt2(l: int) -> int:
-    """Running maximum of :func:`largest_quotient_2k_sqrt2` over k = 0..l."""
-    if l < 0:
-        raise ValidationError("l must be >= 0")
-    return max(largest_quotient_2k_sqrt2(k) for k in range(l + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -318,46 +309,6 @@ def littlewood_scan(alpha: FixedPointReal, beta: FixedPointReal, n_max: int) -> 
     return LittlewoodResult(
         min_value=Fraction(best[0], half * half), argmin=best[1], per_coordinate_error=err
     )
-
-
-# ---------------------------------------------------------------------------
-# Partial quotients of represented reals
-# ---------------------------------------------------------------------------
-
-
-def max_partial_quotient_of_real(alpha: FixedPointReal, depth: int) -> int:
-    """Largest of the first ``depth`` partial quotients of the represented
-    value, leading integer term excluded.
-
-    For inexact carriers the expansion stops once the convergent denominator
-    q reaches 2 q^2 > 2^width, beyond which the approximation no longer pins
-    the quotients; reaching that point (or running out of quotients) before
-    ``depth`` raises :class:`~lowdisc.errors.PrecisionError`.  Exact values
-    may terminate early: the maximum is over the quotients that exist.
-    """
-    if depth < 1:
-        raise ValidationError("depth must be >= 1")
-    x, y = alpha.scaled, 1 << alpha.width
-    quotients: list[int] = []
-    k_prev, k_cur = 0, 1  # convergent denominators
-    while y and len(quotients) < depth + 1:
-        q, r = divmod(x, y)
-        quotients.append(q)
-        if len(quotients) > 1:
-            k_prev, k_cur = k_cur, q * k_cur + k_prev
-            if not alpha.exact and 2 * k_cur * k_cur > (1 << alpha.width):
-                quotients.pop()
-                break
-        x, y = y, r
-    tail = quotients[1:]
-    if not alpha.exact and len(tail) < depth:
-        raise PrecisionError(
-            f"only {len(tail)} quotients are certified at width {alpha.width}, "
-            f"{depth} requested"
-        )
-    if not tail:
-        raise ValidationError("the value is an integer; no quotients to report")
-    return max(tail[:depth])
 
 
 # ---------------------------------------------------------------------------

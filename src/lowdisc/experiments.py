@@ -50,7 +50,6 @@ __all__ = [
     "ln_bounds",
     "preset",
     "preset_names",
-    "random_digital_spec",
     "run_scaling",
     "scaling_csv",
 ]
@@ -266,24 +265,6 @@ def lattice_scan_csv(summary: LatticeScanSummary) -> str:
         lines.append(f"p{percent},{value},")
     lines.append(f"max,{summary.max_value},{'|'.join(map(str, summary.max_vector))}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Random digital specs (stand-ins for "almost all matrices" experiments)
-# ---------------------------------------------------------------------------
-
-
-def _depth_cap(q: int, n_max: int) -> int:
-    return 2 * max(1, math.ceil(math.log(max(n_max, 2), q)))
-
-
-def random_digital_spec(q: int, dim: int, n_max: int, seed: int) -> Digital:
-    """Digital spec with i.i.d. uniform matrices, sampled down to the depth
-    cap 2 * ceil(log_q n_max): entries beyond it cannot affect points with
-    index below n_max at the matching precision."""
-    cap = _depth_cap(q, n_max)
-    mats = tuple(GenMatrix.random_uniform(q, cap, seed=seed + j) for j in range(dim))
-    return Digital(q, mats, precision=cap)
 
 
 # ---------------------------------------------------------------------------

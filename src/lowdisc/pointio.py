@@ -160,7 +160,7 @@ def _parse_matrix(token: str, q: int) -> GenMatrix:
     if token == "onesrow":
         return GenMatrix.ones_first_row(q)
     if token.startswith("rows:"):
-        rows = [tuple(int(c) for c in part) for part in token[5:].split(".") if part]
+        rows = [tuple(_int(c, "rows entry") for c in part) for part in token[5:].split(".") if part]
         return GenMatrix.from_rows(q, rows)
     for name, builder in (
         ("random", GenMatrix.random_uniform),
@@ -168,15 +168,15 @@ def _parse_matrix(token: str, q: int) -> GenMatrix:
     ):
         if token.startswith(name + "(") and token.endswith(")"):
             kv = _parse_args(token[len(name) + 1 : -1])
-            kwargs = {}
-            if "size" in kv:
-                kwargs["size"] = _int(kv.pop("size"), "size")
-            if "seed" in kv:
-                kwargs["seed"] = _int(kv.pop("seed"), "seed")
+            kwargs = {key: _int(_need(kv, key, name), f"{name} {key}") for key in ("size", "seed")}
             if name == "finiterandom" and "rho" in kv:
-                kwargs["rho"] = Fraction(kv.pop("rho"))
-            if kv:
-                raise ValidationError(f"unknown matrix arguments {sorted(kv)}")
+                try:
+                    kwargs["rho"] = Fraction(kv["rho"])
+                except (ValueError, ZeroDivisionError):
+                    raise ValidationError(f"{name} rho must be a fraction, got {kv['rho']!r}") from None
+            unknown = sorted(set(kv) - set(kwargs))
+            if unknown:
+                raise ValidationError(f"unknown matrix arguments {unknown}")
             return builder(q, **kwargs)
     raise ValidationError(f"unknown matrix token {token!r}")
 

@@ -208,8 +208,6 @@ def test_fixedpoint_from_fraction() -> None:
     assert fp.value == Fraction(1, 4)
     inexact = FixedPointReal.from_fraction(Fraction(1, 3), 8)
     assert not inexact.exact
-    assert inexact.error_bound == Fraction(1, 256)
-    assert fp.error_bound == 0
     with pytest.raises(ValidationError):
         FixedPointReal.from_fraction(Fraction(-1, 2), 8)
 

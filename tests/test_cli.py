@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import json
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -131,6 +132,41 @@ def test_validation_exit_codes(tmp_path):
     assert code == 2 and "available" in err
 
 
+PLAN = "spec = halton:bases=2\nschedule = 16,32\n"
+DIGITAL = "digital:q=3,L=4,matrices="
+
+
+@pytest.mark.parametrize(
+    "argv, text, names",
+    [
+        (("cfrac", "--rational", "x/5"), None, "'x'"),
+        (("schmidt", "--h", "2", "--gens", "3,a", "--N", "8", "--phi", "constant:1/2"), None, "--gens"),
+        (("experiment", "--preset", "halton-2-3", "--schedule", "16,x"), None, "--schedule"),
+        (("experiment", "--plan", "{file}"), PLAN + "k = abc\n", ": k:"),
+        (("experiment", "--plan", "{file}"), PLAN + "p = abc\n", ": p:"),
+        (("experiment", "--plan", "{file}"), "spec = halton:bases=2\nschedule = 16,x\n", ": schedule:"),
+        (("fit", "--in", "{file}"), "n,value\n16,1/4\n", "no N column"),
+        (("fit", "--in", "{file}"), "N,value\n16,1/4\nabc,1/8\n", "input:3:"),
+        (("fit", "--in", "{file}"), "N,value\n16,x\n", "input:2:"),
+        (("fit", "--in", "{file}"), "value,N\n1/4\n", "input:2:"),
+        (("gen", "--spec", DIGITAL + "random(seed=1)", "--count", "4"), None, "random spec needs size"),
+        (("gen", "--spec", DIGITAL + "finiterandom(size=4)", "--count", "4"), None, "finiterandom spec needs seed"),
+        (("gen", "--spec", DIGITAL + "finiterandom(size=4,seed=1,rho=x)", "--count", "4"), None, "rho"),
+        (("gen", "--spec", DIGITAL + "rows:1x", "--count", "4"), None, "rows entry"),
+    ],
+    ids=["rational", "gens", "schedule", "plan-k", "plan-p", "plan-schedule", "fit-no-N", "fit-N",
+         "fit-value", "fit-short-row", "random-size", "finiterandom-seed", "finiterandom-rho", "rows"],
+)
+def test_malformed_numbers_exit_2(argv, text, names, tmp_path):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run_cli(*(a.replace("{file}", str(path)) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and names in err
+    assert "Traceback" not in err
+
+
 def test_cfrac_outputs():
     assert run_cli("cfrac", "--rational", "3/5") == (0, "3/5 = [0; 1, 1, 2]\n", "")
     assert run_cli("cfrac", "--rational", "0/5")[1] == "0/5 = [0]\n"
@@ -139,6 +175,10 @@ def test_cfrac_outputs():
     code, out, _ = run_cli("cfrac", "--bl", "2")
     assert code == 0
     assert out == "K,A_K,B_K\n0,2,2\n1,4,4\n2,10,10\n"
+    code, out, _ = run_cli("cfrac", "--bl", "7")
+    rows = [tuple(map(int, line.split(","))) for line in out.splitlines()[1:]]
+    assert [k for k, _, _ in rows] == list(range(8))
+    assert [b for _, _, b in rows] == list(itertools.accumulate((a for _, a, _ in rows), max))
     assert run_cli("cfrac", "--surd", "16")[0] == 2
 
 

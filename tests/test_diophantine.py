@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -13,9 +12,7 @@ from lowdisc.diophantine import (
     cf_surd,
     largest_quotient_2k_sqrt2,
     littlewood_scan,
-    max_partial_quotient_of_real,
     moser_scan,
-    running_max_quotient_2k_sqrt2,
     scan_report_csv,
     schmidt_count,
     zaremba_scan,
@@ -96,9 +93,6 @@ def test_largest_quotient_2k_sqrt2():
     assert largest_quotient_2k_sqrt2(0) == 2
     assert largest_quotient_2k_sqrt2(1) == 4
     assert largest_quotient_2k_sqrt2(2) == 10
-    assert running_max_quotient_2k_sqrt2(2) == 10
-    values = [running_max_quotient_2k_sqrt2(l) for l in range(8)]
-    assert values == sorted(values)
 
 
 # -- Zaremba / Moser -------------------------------------------------------------------
@@ -249,35 +243,6 @@ def test_littlewood_guards():
         littlewood_scan(fixedpoint_sqrt(2, 64), fixedpoint_sqrt(3, 128), 10)
     with pytest.raises(PrecisionError):
         littlewood_scan(fixedpoint_sqrt(2, 40), fixedpoint_sqrt(3, 40), 10**4)
-
-
-# -- partial quotients of represented reals -----------------------------------------------
-
-
-def test_max_partial_quotient_examples():
-    assert max_partial_quotient_of_real(golden_ratio_frac(256), 50) == 1
-    assert max_partial_quotient_of_real(fixedpoint_sqrt(2, 256), 50) == 2
-    exact = FixedPointReal.from_fraction(Fraction(5, 8), 64)
-    assert max_partial_quotient_of_real(exact, 10) == 2
-
-
-def test_max_partial_quotient_precision_guard():
-    with pytest.raises(PrecisionError):
-        max_partial_quotient_of_real(fixedpoint_sqrt(2, 16), 50)
-    with pytest.raises(ValidationError):
-        max_partial_quotient_of_real(FixedPointReal.from_fraction(Fraction(3), 16), 4)
-
-
-def test_max_partial_quotient_agrees_with_exact_cf():
-    rng = random.Random(17)
-    for _ in range(40):
-        den = 1 << rng.randrange(2, 12)  # dyadic denominators are exact carriers
-        num = rng.randrange(1, den)
-        value = Fraction(num, den)
-        fp = FixedPointReal.from_fraction(value, 64)
-        assert fp.exact
-        want = max(cf_rational(value.numerator, value.denominator).tail)
-        assert max_partial_quotient_of_real(fp, 50) == want
 
 
 # -- CSV ----------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from lowdisc.experiments import (
     ln_bounds,
     preset,
     preset_names,
-    random_digital_spec,
     run_scaling,
     scaling_csv,
 )
@@ -222,15 +221,6 @@ def test_lattice_scan_csv():
     assert lines[1] == "vectors,25,"
     assert lines[2].startswith("min,9/25,1|2")
     assert lines[-1].startswith("max,1,")
-
-
-# -- random digital specs --------------------------------------------------------------------
-
-
-def test_random_digital_specs_are_deterministic():
-    a = random_digital_spec(3, 2, 4096, seed=5)
-    b = random_digital_spec(3, 2, 4096, seed=5)
-    assert stream(a, 0, 16).rows() == stream(b, 0, 16).rows()
 
 
 # -- presets ------------------------------------------------------------------------------------

@@ -7,8 +7,10 @@ bound the footprint by the modules loaded, not by time.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -23,8 +25,7 @@ OLD_NAMESPACE = {
     "discrepancy": "DiscrepancyResult brute_force_oracle compute_discrepancy extreme_disc_1d"
     " extreme_disc_grid star_disc_1d star_disc_2d_sweep star_disc_bracket star_disc_exact",
     "diophantine": "PhiSpec cf_rational cf_surd largest_quotient_2k_sqrt2 littlewood_scan"
-    " max_partial_quotient_of_real moser_scan running_max_quotient_2k_sqrt2 schmidt_count"
-    " zaremba_scan",
+    " moser_scan schmidt_count zaremba_scan",
     "errors": "BudgetError LowdiscError PrecisionError TruncationError ValidationError",
     "experiments": "ExperimentPlan FitResult fit_exponent lattice_scan preset preset_names run_scaling",
     "generators": "Digital DigitSumFiltered DigitalKronecker Halton Hammersley Hybrid Kronecker"
@@ -70,6 +71,12 @@ def test_every_old_name_resolves_to_its_modules_object():
         assert getattr(lowdisc, name) is getattr(home, name)
     for module in OLD_NAMESPACE:
         assert module in lowdisc.__all__ and module in dir(lowdisc)
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(lowdisc.__path__)))
+def test_every_submodule_export_resolves(name):
+    module = importlib.import_module(f"lowdisc.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
 def test_lazy_names_are_not_cached_in_the_package():
