@@ -15,7 +15,7 @@ loaded only by the commands that build arrays (``gen``, ``disc``,
 from __future__ import annotations
 
 import argparse
-import io
+import itertools
 import os
 import sys
 
@@ -95,13 +95,15 @@ def _plan_from_file(path: str):
 
 def _cmd_gen(args) -> None:
     from .generators import stream
-    from .pointio import write_points
+    from .pointio import point_header, write_points
 
-    spec = _spec_from_arg(args.spec)
-    points = stream(spec, args.start, args.count)
-    buf = io.StringIO()
-    write_points(points, buf, decimal=args.decimal)
-    _emit(buf.getvalue(), args.out)
+    points = stream(_spec_from_arg(args.spec), args.start, args.count)
+    point_header(points, args.decimal)  # a header that cannot be written fails before --out exists
+    if args.out is None:
+        write_points(points, sys.stdout, decimal=args.decimal)
+    else:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            write_points(points, fh, decimal=args.decimal)
 
 
 def _cmd_disc(args) -> None:
@@ -147,12 +149,10 @@ def _cmd_cfrac(args) -> None:
     elif args.a2k is not None:
         _emit(f"A({args.a2k}) = {largest_quotient_2k_sqrt2(args.a2k)}\n", args.out)
     else:
-        rows = []
-        running = 0
-        for k in range(args.bl + 1):
-            a_k = largest_quotient_2k_sqrt2(k)
-            running = max(running, a_k)
-            rows.append((k, a_k, running))
+        if args.bl < 0:
+            raise ValidationError("L must be >= 0")
+        quotients = [largest_quotient_2k_sqrt2(k) for k in range(args.bl + 1)]
+        rows = zip(range(args.bl + 1), quotients, itertools.accumulate(quotients, max))
         _emit(scan_report_csv(("K", "A_K", "B_K"), rows), args.out)
 
 

@@ -15,19 +15,17 @@ and :func:`star_disc_bracket` differ only in the corner grid they hand it.
 * Rank compression: each axis keeps only its candidate corner values (the
   distinct coordinates plus 1, or the lattice i/k of a bracket), and each
   point becomes two indices per axis, the first corner at or above it
-  (closed counting) and the first corner above it (strict counting).
+  (closed counting) and the last corner at or below it (strict counting);
+  a bracket finds them by binary search, forming no per-point products.
 * Blocked prefix sums: the counts at every corner are prefix sums of a
-  histogram over rank space, as in the exact algorithm of Dobkin, Eppstein
-  and Mitchell (ACM TOG 15(4), 1996).  They are summed one block of axis-0
-  rows at a time, the last row carried into the next block, so memory
-  stays at one block whatever the size of the grid.
-* Float filter: the objective is evaluated in float64 under a per-cell
-  error bound E written and derived beside the code, and every cell within
-  2E of the float maximum survives (the filter-then-exact pattern of
-  Shewchuk, DCG 18, 1997).
-* Exact recheck: every survivor is evaluated again in integer arithmetic
-  from the exact corner values and int64 counts.  Floats prune; no
-  floating point decides a maximum.
+  histogram over rank space (Dobkin, Eppstein and Mitchell, ACM TOG 15(4),
+  1996), summed one block of axis-0 rows at a time with a copy of the last
+  row carried over, so besides O(N d) index words memory holds one block.
+* Float filter, exact recheck: a block is evaluated in float64 under an
+  error bound E derived beside the code, and its cells within 2E of the
+  float maximum so far are rechecked at once in integer arithmetic, keeping
+  only the exact maximum (the filter-then-exact pattern of Shewchuk, DCG 18,
+  1997).  Floats prune; no floating point decides a maximum.
 
 The extreme kind in d >= 2 (:func:`extreme_disc_grid`) runs the same
 filter and recheck over every lower/upper corner pair, counting each box by
@@ -162,7 +160,8 @@ def _as_columns(points) -> Columns:
     rows = [tuple(map(Fraction, row)) for row in points]
     if any(len(r) != len(rows[0]) for r in rows):
         raise ValidationError("points of mixed dimension")
-    return Columns.from_ratios(([(c.numerator, c.denominator) for c in axis] for axis in zip(*rows)), EXACT)
+    axes = (([c.numerator for c in axis], [c.denominator for c in axis]) for axis in zip(*rows))
+    return Columns.from_ratios(axes, EXACT)
 
 
 def _normalize(points) -> tuple[tuple, tuple[int, ...], str]:
@@ -223,10 +222,11 @@ def extreme_disc_1d(points) -> DiscrepancyResult:
 # Rank-space star kernel
 # ---------------------------------------------------------------------------
 
-# Cells per block of the kernel.  On 2D Halton, N = 4096 (x86-64, 2 vCPUs),
-# 2^16 was the fastest of 2^12 .. 2^20 and added about 6 MB of RSS, 2^20
-# added about 50 MB.  A block is never smaller than one axis-0 row.
-_BLOCK_CELLS = 1 << 16
+# Cells per block of the kernel.  Per process (ru_maxrss, x86-64, 2 vCPUs),
+# 2^14 ran `disc` of 7,776 C1 points in 32.0 MB against 34.8 MB at 2^16, and
+# kernel times from 2^13 to 2^16 were within noise of each other.  A block
+# holds at least one axis-0 row.
+_BLOCK_CELLS = 1 << 14
 
 
 def _prefix_counts(index, shape):
@@ -253,8 +253,9 @@ def _prefix_counts(index, shape):
         for axis in range(1, len(padded)):
             np.cumsum(block[1:], axis=axis, out=block[1:])
         block[0] = carry
-        np.cumsum(block, axis=0, out=block)
-        carry = block[-1]
+        for i in range(1, len(block)):  # row by row: a cumsum along a short axis 0 is slow
+            block[i] += block[i - 1]
+        carry = block[-1].copy()  # a view would keep the whole block alive
         yield r0, block
 
 
@@ -272,10 +273,11 @@ def _max_objective(extents, scales, n: int, blocks) -> Fraction:
     subtraction of terms in [0, N(1 + (2d - 1)u)] follows.  So a side is off
     by at most ``N (2d u + O(d^2 u^2)) < E = (2d + 1) u N``, ``u = 2^-53``
     (gradual underflow adds at most 2^-1074 per operation).  A cell whose
-    float value is below ``F - 2E``, F the float maximum, is therefore below
-    the cell that attains the true maximum; the spare ``2uN`` in 2E covers
-    the rounding of ``F - 2E`` itself.  Every other cell is rechecked in
-    integer arithmetic from the exact extents and int64 counts.
+    float value is below ``F - 2E``, F the float maximum so far, is therefore
+    below the cell that attains the true maximum; the spare ``2uN`` in 2E
+    covers the rounding of ``F - 2E`` itself.  Each block's other cells are
+    rechecked at once in integer arithmetic from the exact extents and int64
+    counts, so only an exact maximum is carried forward, however many tie.
     """
     import numpy as np
 
@@ -283,44 +285,40 @@ def _max_objective(extents, scales, n: int, blocks) -> Fraction:
     axes = [np.array([e * w / s for e in es]) for es, s, w in zip(extents, scales, (n,) + (1,) * d)]
     nvol_row = reduce(np.multiply.outer, axes[1:], np.ones(()))
     slack = (4 * d + 2) * 2.0**-53 * n  # 2E
-    best = -np.inf
-    kept: list[tuple[float, int, list[int], int]] = []  # (float value, sign, cell, count)
+    total = math.prod(scales)
+    exact_extents = [int_array(es, n * total + 1) for es in extents]
+    best, exact = -np.inf, 0
     for r0, c_open, c_closed in blocks:
         nvol = np.multiply.outer(axes[0][r0 : r0 + len(c_open)], nvol_row)
-        for sign, count, value in ((1, c_open, nvol - c_open), (-1, c_closed, c_closed - nvol)):
+        for sign, count in ((1, c_open), (-1, c_closed)):
+            value = nvol - count if sign == 1 else count - nvol
             top = float(value.max())
             if top < best - slack:
                 continue
             best = max(best, top)
             hit = np.nonzero(value >= best - slack)
-            cells = np.transpose((hit[0] + r0,) + hit[1:])
-            kept += zip(value[hit].tolist(), [sign] * len(cells), cells.tolist(), count[hit].tolist())
-        kept = [c for c in kept if c[0] >= best - slack]
-    total = math.prod(scales)
-    exact = 0
-    for _, sign, cell, count in kept:
-        lam = n * math.prod(e[i] for e, i in zip(extents, cell))
-        exact = max(exact, sign * (lam - count * total))
+            cell = (hit[0] + r0,) + hit[1:]
+            lam = reduce(np.multiply, (e[i] for e, i in zip(exact_extents, cell)), n)
+            counts = count[hit].astype(exact_extents[0].dtype)
+            exact = max(exact, int((sign * (lam - counts * total)).max()))
     return Fraction(exact, n * total)
 
 
-def _star_kernel(corners, scales, closed, open_) -> Fraction:
+def _star_kernel(corners, scales, closed, lower) -> Fraction:
     """Exact maximum over the corner grid of ``max(vol - open/N, closed/N - vol)``.
 
     ``corners[j]`` lists the sorted corner values of axis j as integers in
-    units of ``1/scales[j]``.  ``closed[p, j]`` and ``open_[p, j]`` are the
-    indices of the first corner of axis j with ``x_pj <= corner`` and
-    ``x_pj < corner``; a point is in the closed (open) box of a corner when
-    its closed (open) index is at most the corner's on every axis.
+    units of ``1/scales[j]``.  ``closed[p, j]`` is the index of the first
+    corner of axis j with ``x_pj <= corner``, ``lower[p, j]`` that of the
+    last corner with ``corner <= x_pj`` (-1 if none).  A point is in the
+    closed box of corner i when its closed index is at most i on every axis,
+    and in the open box when its lower index is below i: so the open count
+    at corner i is the count of the lower indices at corner i - 1.
     """
-    import numpy as np
-
     n, d = closed.shape
     shape = tuple(len(c) for c in corners)
-    # the open count at corner i is the count of open_ - 1 at corner i - 1
-    lower = open_ - 1
     counts = _prefix_counts(closed, shape)
-    if np.array_equal(lower, closed):  # critical grids: one histogram serves both
+    if lower is closed:  # critical grids: one histogram serves both
         hists = ((r0, h, h) for r0, h in counts)
     else:
         hists = ((r0, h, g) for (r0, h), (_, g) in zip(counts, _prefix_counts(lower, shape)))
@@ -349,7 +347,7 @@ def _critical_grid(columns, scales) -> tuple[list[list[int]], np.ndarray]:
 def _exact_star(columns, scales, mode: str, work_budget: int) -> DiscrepancyResult:
     corners, closed = _critical_grid(columns, scales)
     _check_cells("critical grid", math.prod(len(c) for c in corners), work_budget)
-    value = _star_kernel(corners, scales, closed, closed + 1)
+    value = _star_kernel(corners, scales, closed, closed)
     return DiscrepancyResult("star", mode, len(columns[0]), len(columns), value=value)
 
 
@@ -470,15 +468,15 @@ def star_disc_bracket(points, k: int, *, work_budget: int = DEFAULT_WORK_BUDGET)
         raise ValidationError("bracket resolution must be >= 2")
     n, d = len(columns[0]), len(columns)
     _check_cells("bracket lattice", (k + 1) ** d, work_budget)
-    # corner i/k holds x in its closed box iff ceil(xk) <= i, in its open box iff floor(xk) < i
-    floor, ceil = [], []
-    for col, scale in zip(columns, scales):
-        xk = int_array(col, scale * k) * k
-        q = xk // scale
-        floor.append(q)
-        ceil.append(q + (q * scale != xk))
-    floor, ceil = (np.stack(v, axis=1).astype(np.int64) for v in (floor, ceil))
-    lo = _star_kernel([range(k + 1)] * d, [k] * d, ceil, floor + 1)
+    # Corner i/k is at or above a/s iff a <= floor(is/k), so the closed index
+    # ceil(ak/s) counts the corners with floor(is/k) < a: a search in rank
+    # space.  The lower index floor(ak/s) is one less unless a = ceil(is/k) there.
+    closed, lower = np.empty((n, d), dtype=np.int64), np.empty((n, d), dtype=np.int64)
+    for j, (col, s) in enumerate(zip(columns, scales)):
+        closed[:, j] = np.searchsorted(int_array([i * s // k for i in range(k)], s), col)
+        ceil = int_array([-(-i * s // k) for i in range(k + 1)], s + 1)
+        lower[:, j] = closed[:, j] - (ceil[closed[:, j]] != col)
+    lo = _star_kernel([range(k + 1)] * d, [k] * d, closed, lower)
     hi = min(lo + Fraction(d, k), Fraction(1))
     return DiscrepancyResult("star", "bracketed", n, d, lo=lo, hi=hi, resolution=k)
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import GenMatrix, fixedpoint_sqrt
-from .discrepancy import DiscrepancyResult, compute_discrepancy
+from .discrepancy import DEFAULT_WORK_BUDGET, DiscrepancyResult, compute_discrepancy
 from .errors import BudgetError, LowdiscError, ValidationError
 from .fit import FitResult, fit_exponent
 from .generators import (
@@ -208,31 +208,32 @@ def lattice_scan(
     """Distribution of the star discrepancy over lattice generating vectors.
 
     ``exhaustive`` walks all size^dim vectors; ``sample`` draws ``count``
-    vectors from a seeded generator.  Both refuse more than
-    ``MAX_SCAN_VECTORS`` vectors before evaluating any.  Dimension 2 uses the
-    exact sweep, dimension 3 the exact corner grid; higher dimensions are
-    not supported exactly.
+    vectors from a seeded generator.  Before evaluating any, both refuse
+    more than ``MAX_SCAN_VECTORS`` vectors, or critical grids of up to
+    (size + 1)^dim corners each that sum past ``DEFAULT_WORK_BUDGET``.
+    Dimension 2 uses the exact sweep, dimension 3 the exact corner grid.
     """
     if size < 1:
         raise ValidationError("size must be >= 1")
     if dim not in (2, 3):
         raise ValidationError("lattice scans support dimensions 2 and 3")
-    if mode == "exhaustive":
-        total = size**dim
-        if total > MAX_SCAN_VECTORS:
-            raise BudgetError(f"{total} vectors exceed the cap of {MAX_SCAN_VECTORS}")
-        vectors = itertools.product(range(size), repeat=dim)
-    elif mode == "sample":
+    if mode == "sample":
         if count is None or seed is None:
             raise ValidationError("sample mode needs count and seed")
         if count < 1:
             raise ValidationError("sample count must be >= 1")
-        if count > MAX_SCAN_VECTORS:
-            raise BudgetError(f"{count} vectors exceed the cap of {MAX_SCAN_VECTORS}")
+    elif mode != "exhaustive":
+        raise ValidationError(f"unknown scan mode {mode!r}")
+    total = size**dim if mode == "exhaustive" else count
+    if total > MAX_SCAN_VECTORS:
+        raise BudgetError(f"{total} vectors exceed the cap of {MAX_SCAN_VECTORS}")
+    if total * (size + 1) ** dim > DEFAULT_WORK_BUDGET:
+        raise BudgetError(f"{total} grids of up to {(size + 1) ** dim} cells exceed {DEFAULT_WORK_BUDGET}")
+    if mode == "exhaustive":
+        vectors = itertools.product(range(size), repeat=dim)
+    else:
         rng = random.Random(f"lattice-scan:{size}:{dim}:{seed}")
         vectors = [tuple(rng.randrange(size) for _ in range(dim)) for _ in range(count)]
-    else:
-        raise ValidationError(f"unknown scan mode {mode!r}")
 
     algo = "2d" if dim == 2 else "grid"
     evaluated: list[tuple[Fraction, tuple[int, ...]]] = []

@@ -13,10 +13,10 @@ hand it over.  :func:`stream` materializes an index range as a
 and ``start``); a single point n is ``stream(spec, n, 1)``.  Index origin is
 n = 0 for every family.
 
-Digital Kronecker sequences and rational nets are digital sequences too:
-digit r of {n(x) f(x)} is sum_c n_c a_(r+c+1) over the Laurent coefficients
-a_k of f, a Hankel generating matrix, so both run through the same digit
-product as :class:`Digital`, over q^L and q^t (t = deg of the modulus).
+Halton, digital, digital Kronecker and rational-net columns share one digit
+product, through the identity, a generating matrix, or the Hankel matrix
+a_(r+c+1) of the Laurent coefficients of f.  It runs a chunk of indices at a
+time and folds output digits into int64 words: no batch-wide digit matrix.
 
 Coordinates come in two representations and never mix inside one point set:
 
@@ -132,14 +132,15 @@ class Columns:
 
     @classmethod
     def from_ratios(cls, axes, tag: ReprTag) -> "Columns":
-        """Columns of per-axis ``(numerator, denominator)`` pairs, each axis
-        over the lcm of its distinct denominators."""
+        """Columns of per-axis ``(numerators, denominators)`` lists, each axis over
+        the lcm of its distinct denominators; the numerators are rescaled in place."""
         columns, scales = [], []
-        for axis in axes:
-            distinct = {den for _, den in axis}
-            scale = lcm(*distinct)
-            factor = {den: scale // den for den in distinct}
-            columns.append(int_array([num * factor[den] for num, den in axis], scale))
+        for nums, dens in axes:
+            scale = lcm(*set(dens))
+            for i, den in enumerate(dens):
+                if den != scale:
+                    nums[i] *= scale // den
+            columns.append(int_array(nums, scale))
             scales.append(scale)
         return cls(tuple(columns), tuple(scales), tag)
 
@@ -205,52 +206,41 @@ def digitsum_filtered_index(k: int) -> int:
     return m if m.bit_count() % 2 == 0 else m + 1
 
 
-# Indices per chunk of the digit arithmetic: bounds the (chunk x digits)
-# work arrays to a few MB.
-_CHUNK = 1 << 14
+# Indices per chunk of the digit arithmetic: a chunk holds its m input digits
+# and a few int64 vectors of its length.  Generating C1's 46,656 points
+# (x86-64, 2 vCPUs) took 45, 23, 21 and 19 ms in chunks of 2^10, 2^12, 2^14
+# and 2^16 indices, at traced peaks of 1.3, 2.1, 5.3 and 8.6 MB.
+_CHUNK = 1 << 12
 
 
-def _digit_column(indices, q: int, m: int, matrix=None) -> np.ndarray:
+def _digit_column(indices, q: int, m: int, matrix) -> np.ndarray:
     """Numerators over q^L of the digit vectors of the indices.
 
     The first m base-q digits of n (least significant first) are mapped
-    through ``matrix`` (L rows of m entries over Z_q; None is the identity
-    with L = m) and read back as base-q digits, most significant first.
+    through ``matrix`` (L rows of m entries over Z_q) and read back as
+    base-q digits, most significant first.  Each output digit is folded in
+    by Horner's rule into an int64 word of g digits (q^g < 2^63); words are
+    joined in Python ints past 2^63.
     """
     import numpy as np
 
     idx = int_array(indices, (indices[-1] if indices else 0) + 1)
-    if matrix is not None:
-        matrix = int_array(matrix, m * q * q + 1)
-    parts = []
+    depth = len(matrix)
+    g = max(1, len(digits_of((1 << 63) - 1, q)) - 1)  # the most digits with q^g < 2^63
+    out = np.zeros(len(idx), dtype=np.int64 if depth <= g else object)
     for s in range(0, len(idx), _CHUNK):
         chunk = idx[s : s + _CHUNK]
-        digits = np.empty((len(chunk), m), dtype=np.int64)
-        for j in range(m):
-            digits[:, j] = chunk % q
-            chunk = chunk // q
-        if matrix is not None:
-            digits = (digits @ matrix.T % q).astype(np.int64)
-        parts.append(_digits_value(digits, q))
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-
-
-def _digits_value(digits: np.ndarray, q: int) -> np.ndarray:
-    """The integers whose base-q digits are the rows of ``digits``, most
-    significant first; int64 words of g digits, joined in Python ints past
-    2^63."""
-    import numpy as np
-
-    g = 1
-    while q ** (g + 1) < 1 << 63:
-        g += 1
-    value = np.zeros(len(digits), dtype=np.int64)
-    for s in range(0, digits.shape[1], g):
-        word = digits[:, s : s + g]
-        w = word.shape[1]
-        word = word @ (q ** np.arange(w - 1, -1, -1, dtype=np.int64))
-        value = word if s == 0 else value.astype(object) * q**w + word.astype(object)
-    return value
+        # input digits, least significant first; a row's digit sum is below m q^2
+        digits = np.empty((m, len(chunk)), dtype=np.int64 if m * q * q < 1 << 63 else object)
+        for c in range(m):
+            digits[c], chunk = chunk % q, chunk // q
+        for r0 in range(0, depth, g):
+            word = 0
+            for r in range(r0, min(r0 + g, depth)):
+                terms = (digits[c] if e == 1 else e * digits[c] for c, e in enumerate(matrix[r]) if e)
+                word = word * q + sum(terms) % q
+            out[s : s + _CHUNK] = out[s : s + _CHUNK] * q ** min(g, depth - r0) + word
+    return out
 
 
 def _hankel_column(indices, f: LaurentSeries, depth: int) -> np.ndarray:
@@ -343,7 +333,8 @@ class Halton:
             raise ValidationError("radical inverse needs n >= 0")
         top = indices[-1] if indices else 0
         ks = [len(digits_of(top, b)) for b in self.bases]
-        columns = tuple(_digit_column(indices, b, k) for b, k in zip(self.bases, ks))
+        columns = tuple(_digit_column(indices, b, k, [[int(r == c) for c in range(k)] for r in range(k)])
+                        for b, k in zip(self.bases, ks))
         return Columns(columns, tuple(b**k for b, k in zip(self.bases, ks)), EXACT)
 
 
@@ -592,9 +583,8 @@ def _coerce(batch: Columns, width: int) -> Columns:
     if batch.tag.kind == "fixedpoint":
         return batch
     one = 1 << width
-    columns = tuple(
-        int_array(col.astype(object) * one // den, one) for col, den in zip(batch.columns, batch.scales)
-    )
+    columns = tuple(int_array([(v << width) // den for v in col.tolist()], one)
+                    for col, den in zip(batch.columns, batch.scales))
     return Columns(columns, (one,) * len(columns), ReprTag("fixedpoint", width, coerced=True))
 
 

@@ -68,6 +68,7 @@ __all__ = [
     "format_coordinate",
     "parse_alpha",
     "parse_spec",
+    "point_header",
     "read_points",
     "spec_to_string",
     "write_points",
@@ -313,18 +314,26 @@ def _format_ratio(num: int, den: int, decimal: int | None) -> str:
     return f"{sign}{scaled // scale}.{scaled % scale:0{decimal}d}"
 
 
-def write_points(points: PointSet, fh, decimal: int | None = None) -> None:
+def point_header(points: PointSet, decimal: int | None = None) -> str:
+    """The header line of a point file; it raises, as writing would, for a
+    spec with no serializable form or a decimal count below 1."""
+    if decimal is not None and decimal < 1:
+        raise ValidationError("decimal digit count must be >= 1")
     fmt = "frac" if decimal is None else f"dec{decimal}"
-    header = (
+    return (
         f"# spec={spec_to_string(points.spec)} dim={points.dim} repr={points.tag.as_text()}"
-        f" start={points.start} count={points.count} format={fmt}"
+        f" start={points.start} count={points.count} format={fmt}\n"
     )
-    fh.write(header + "\n")
-    texts = [
-        map(_format_ratio, c.tolist(), repeat(s), repeat(decimal))
-        for c, s in zip(points.columns, points.scales)
-    ]
-    fh.writelines("\t".join(row) + "\n" for row in zip(*texts))
+
+
+def write_points(points: PointSet, fh, decimal: int | None = None) -> None:
+    fh.write(point_header(points, decimal))
+    for r0 in range(0, points.count, 1 << 12):  # Python ints for one slice of rows at a time
+        texts = [
+            map(_format_ratio, c[r0 : r0 + (1 << 12)].tolist(), repeat(s), repeat(decimal))
+            for c, s in zip(points.columns, points.scales)
+        ]
+        fh.writelines("\t".join(row) + "\n" for row in zip(*texts))
 
 
 @dataclass(frozen=True)
@@ -366,7 +375,7 @@ def read_points(fh) -> ReadPoints:
     of it certifies the represented points only.
     """
     header: dict[str, str] = {}
-    axes: list[list[tuple[int, int]]] = []  # (numerator, denominator) pairs per axis
+    axes: list = []  # per axis: numerators, denominators, one shared object per denominator
     for lineno, raw in enumerate(fh, start=1):
         line = raw.rstrip("\n")
         if not line.strip():
@@ -381,14 +390,15 @@ def read_points(fh) -> ReadPoints:
             coords = list(map(_ratio, line.split("\t")))
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"line {lineno}: cannot parse coordinates {line!r}") from None
-        for num, den in coords:
-            if not 0 <= num < den:
-                raise ValidationError(f"line {lineno}: coordinate {Fraction(num, den)} outside [0, 1)")
         if not axes:
-            axes = [[] for _ in coords]
+            axes = [([], [], {}) for _ in coords]
         elif len(coords) != len(axes):
             raise ValidationError(f"line {lineno}: expected {len(axes)} coordinates, got {len(coords)}")
-        for pair, axis in zip(coords, axes):
-            axis.append(pair)
+        for (num, den), (nums, dens, shared) in zip(coords, axes):
+            if not 0 <= num < den:
+                raise ValidationError(f"line {lineno}: coordinate {Fraction(num, den)} outside [0, 1)")
+            nums.append(num)
+            dens.append(shared.setdefault(den, den))
     represented = header.get("repr", "exact") != "exact" or header.get("format", "frac") != "frac"
-    return ReadPoints(Columns.from_ratios(axes, ReprTag("exact", coerced=True) if represented else EXACT), header)
+    tag = ReprTag("exact", coerced=True) if represented else EXACT
+    return ReadPoints(Columns.from_ratios(((nums, dens) for nums, dens, _ in axes), tag), header)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import lowdisc.experiments as experiments
+import lowdisc.generators as generators
 from lowdisc.algebra import (
     FixedPointReal,
     GenMatrix,
@@ -173,12 +174,36 @@ def test_batch_exact_past_int64():
         assert _as_refs(ps) == [reference_point(spec, n) for n in range(start, start + 12)]
 
 
+@pytest.mark.parametrize("count", [2**14 - 1, 2**14, 2**14 + 1])
+def test_digit_column_matches_mat_vec_reference_across_chunks(count):
+    """Whole and partial chunks, with q^L past 2^63, against mat_vec_mod_q."""
+    q, depth = 3, 41  # 3^41 > 2^63
+    m = len(digits_of(count - 1, q))
+    series = LaurentSeries.from_rational(q, (1, 2), (2, 0, 1, 1), depth + m + 1)
+    hankel = [[series.coefficient(r + c + 1) for c in range(m)] for r in range(depth)]
+    matrices = {
+        "identity": GenMatrix.identity(q),
+        "random": GenMatrix.random_uniform(q, depth, seed=7),
+        "hankel": GenMatrix.from_rows(q, hankel),
+    }
+    edges = range(0, count + 1, generators._CHUNK)
+    checked = {*range(0, count, 97), *(n for e in edges for n in range(e - 2, e + 2) if 0 <= n < count)}
+    for name, mat in matrices.items():
+        column = generators._digit_column(range(count), q, m, [mat.row_prefix(r, m) for r in range(depth)])
+        assert len(column) == count and column.dtype == object
+        for n in sorted(checked):
+            want = 0
+            for v in mat_vec_mod_q(mat, digits_of(n, q), depth):
+                want = want * q + v
+            assert column[n] == want, (name, n)
+
+
 def test_columns_check_their_shape():
     with pytest.raises(ValidationError):
         Columns((np.arange(3), np.arange(2)), (4, 4), EXACT)
     with pytest.raises(ValidationError):
         Columns((np.arange(3),), (4, 4), EXACT)
-    batch = Columns.from_ratios([[(1, 2), (1, 3)], [(0, 1), (3, 4)]], EXACT)
+    batch = Columns.from_ratios([([1, 1], [2, 3]), ([0, 3], [1, 4])], EXACT)
     assert (batch.count, batch.dim, batch.scales) == (2, 2, (6, 4))
     assert batch.rows() == [(Fraction(1, 2), Fraction(0)), (Fraction(1, 3), Fraction(3, 4))]
     assert batch.head(1).rows() == [(Fraction(1, 2), Fraction(0))]

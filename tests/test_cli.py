@@ -123,6 +123,38 @@ def test_disc_bracket_and_budget_exit_codes(tmp_path):
     assert code == 3 and "bracket lattice has 1089 cells" in err
 
 
+@pytest.mark.parametrize(
+    "spec, extra",
+    [
+        ("kronecker:width=192,alphas=sqrt2", ()),
+        ("hybrid:left=(halton:bases=2),right=(kronecker:width=64,alphas=golden)", ("--decimal", "19")),
+        ("digital:q=3,L=45,matrices=onesrow", ("--start", "7")),
+    ],
+)
+def test_gen_to_stdout_equals_gen_to_file(tmp_path, spec, extra):
+    target = tmp_path / "pts.tsv"
+    code, out, _ = run_cli("gen", "--spec", spec, "--count", "300", *extra)
+    assert code == 0
+    assert run_cli("gen", "--spec", spec, "--count", "300", *extra, "--out", str(target))[0] == 0
+    assert target.read_bytes() == out.encode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--spec", "lattice:N=5,gens=1|2", "--start", "3", "--count", "5"),  # generation fails
+        ("--spec", "digital:q=11,L=2,matrices=rows:10.01", "--count", "3"),  # the header has no spec string
+        ("--spec", "halton:bases=2", "--count", "3", "--decimal", "0"),  # rows cannot be formatted
+    ],
+    ids=["generation", "header", "decimal"],
+)
+def test_failing_gen_creates_no_file(tmp_path, argv):
+    target = tmp_path / "pts.tsv"
+    code, _, err = run_cli("gen", *argv, "--out", str(target))
+    assert code == 2 and err.startswith("error: ")
+    assert not target.exists()
+
+
 def test_validation_exit_codes(tmp_path):
     code, _, err = run_cli("gen", "--spec", "halton:bases=2|4", "--count", "4")
     assert code == 2 and "coprime" in err
@@ -153,9 +185,11 @@ DIGITAL = "digital:q=3,L=4,matrices="
         (("gen", "--spec", DIGITAL + "finiterandom(size=4)", "--count", "4"), None, "finiterandom spec needs seed"),
         (("gen", "--spec", DIGITAL + "finiterandom(size=4,seed=1,rho=x)", "--count", "4"), None, "rho"),
         (("gen", "--spec", DIGITAL + "rows:1x", "--count", "4"), None, "rows entry"),
+        (("cfrac", "--bl", "-1"), None, "L must be >= 0"),
     ],
     ids=["rational", "gens", "schedule", "plan-k", "plan-p", "plan-schedule", "fit-no-N", "fit-N",
-         "fit-value", "fit-short-row", "random-size", "finiterandom-seed", "finiterandom-rho", "rows"],
+         "fit-value", "fit-short-row", "random-size", "finiterandom-seed", "finiterandom-rho", "rows",
+         "cfrac-bl"],
 )
 def test_malformed_numbers_exit_2(argv, text, names, tmp_path):
     path = tmp_path / "input"
@@ -230,6 +264,17 @@ def test_scan_lattice_sample_count_is_capped(monkeypatch):
     monkeypatch.setattr("lowdisc.experiments.lattice_point_set", refuse)
     code, _, err = run_cli("scan-lattice", "--N", "5", "--d", "2", "--mode", "sample",
                            "--count", str(MAX_SCAN_VECTORS + 1), "--seed", "1")
+    assert code == 3
+    assert err.startswith("budget exceeded:")
+
+
+def test_scan_lattice_cost_is_capped_before_any_vector(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a vector past the cost cap was evaluated")
+
+    monkeypatch.setattr("lowdisc.experiments.lattice_point_set", refuse)
+    # 195,112 vectors pass the vector cap, but each 3D grid has up to 59^3 corners
+    code, _, err = run_cli("scan-lattice", "--N", "58", "--d", "3")
     assert code == 3
     assert err.startswith("budget exceeded:")
 

@@ -21,8 +21,8 @@ from lowdisc.discrepancy import (
     star_disc_exact,
 )
 from lowdisc.errors import BudgetError, ValidationError
-from lowdisc.generators import Halton, Hammersley, Kronecker, stream
-from lowdisc.algebra import fixedpoint_sqrt
+from lowdisc.generators import Columns, Halton, Hammersley, Hybrid, Kronecker, Lattice, ReprTag, stream
+from lowdisc.algebra import fixedpoint_sqrt, int_array
 
 
 def rand_rows(rng: random.Random, n: int, d: int, dens=(3, 4, 5, 8, 16)):
@@ -208,6 +208,46 @@ def test_sweep_python_fallback_matches_numpy_path():
 
 
 # -- brackets -----------------------------------------------------------------------
+
+
+def test_bracket_indices_on_wide_scales_and_lattice_lines():
+    """Columns over 2^192, 3^41, 2^63 and 10^12, with coordinates on, just
+    below and just above the lattice lines i/k, against the lattice maximum."""
+    rng = random.Random(31)
+    for scales in ((2**192, 3**41), (2**63, 10**12)):
+        for _ in range(12):
+            k, n = rng.choice((2, 3, 5, 8)), rng.randrange(1, 9)
+            columns = []
+            for s in scales:
+                near = [i * s // k + t for i in range(k) for t in (-1, 0, 1)]
+                near += [-(-i * s // k) for i in range(k)]
+                values = [min(max(rng.choice(near), 0), s - 1) if rng.random() < 0.8 else rng.randrange(s)
+                          for _ in range(n)]
+                columns.append(int_array(values, s))
+            points = Columns(tuple(columns), scales, ReprTag("exact"))
+            assert star_disc_bracket(points, k).lo == lattice_max(points.rows(), k)
+
+
+def test_ties_across_one_row_blocks(monkeypatch):
+    """A point at the origin makes the closed side tie on the whole first
+    row of every grid.  With one axis-0 row per block, each block's ties are
+    reduced to an exact maximum at once, and the values do not change."""
+    sets = [stream(Hammersley(n, (2,)), 0, n) for n in (5, 8)]
+    sets.append(stream(Hybrid(Hammersley(8, (2,)), Lattice(8, (3,))), 0, 8))
+    wide = stream(Hybrid(Hammersley(233, (2,)), Lattice(233, (144,))), 0, 233)
+
+    def values(points):
+        out = [star_disc_exact(points).value] + [star_disc_bracket(points, k).lo for k in (2, 4, 16)]
+        return out + [extreme_disc_grid(points).value] if points.dim == 2 else out
+
+    default = [values(p) for p in sets] + [star_disc_bracket(wide, 32).lo]
+    monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", 1)
+    assert [values(p) for p in sets] + [star_disc_bracket(wide, 32).lo] == default
+    for points, got in zip(sets, default):
+        assert got[0] == brute_force_oracle(points, "star")
+        assert got[1:4] == [lattice_max(points.rows(), k) for k in (2, 4, 16)]
+        if points.dim == 2:
+            assert got[4] == brute_force_oracle(points, "extreme")
 
 
 def test_bracket_contains_exact_value():

@@ -7,6 +7,7 @@ import pytest
 
 from lowdisc.algebra import fixedpoint_sqrt
 from lowdisc.discrepancy import star_disc_2d_sweep
+from lowdisc.discrepancy import DEFAULT_WORK_BUDGET
 from lowdisc.errors import BudgetError, ValidationError
 from lowdisc.experiments import (
     MAX_SCAN_VECTORS,
@@ -212,6 +213,20 @@ def test_lattice_scan_sample_count_is_capped(monkeypatch):
     monkeypatch.setattr("lowdisc.experiments.lattice_point_set", _refuse_evaluation)
     with pytest.raises(BudgetError, match=str(MAX_SCAN_VECTORS)):
         lattice_scan(5, 2, "sample", count=MAX_SCAN_VECTORS + 1, seed=1)
+
+
+def test_lattice_scan_cost_is_capped(monkeypatch):
+    # vectors x (N + 1)^d cells are checked against the work budget before any
+    # vector is evaluated; the benchmark's scans stay well inside it
+    monkeypatch.setattr("lowdisc.experiments.lattice_point_set", _refuse_evaluation)
+    assert 58**3 <= MAX_SCAN_VECTORS < 58**3 * 59**3
+    with pytest.raises(BudgetError, match=str(DEFAULT_WORK_BUDGET)):
+        lattice_scan(58, 3)
+    with pytest.raises(BudgetError, match=str(DEFAULT_WORK_BUDGET)):
+        lattice_scan(99, 3, "sample", count=101, seed=1)
+    monkeypatch.undo()
+    assert lattice_scan(64, 2, "sample", count=200, seed=1).vectors == 200  # 845,000 cells
+    assert lattice_scan(12, 3, "sample", count=20, seed=1).vectors == 20  # 43,940 cells
 
 
 def test_lattice_scan_csv():
