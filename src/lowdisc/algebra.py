@@ -86,7 +86,7 @@ def digits_of(n: int, q: int) -> tuple[int, ...]:
 
 
 def int_array(values, bound: int) -> np.ndarray:
-    """A 1D or 2D integer array of ``values`` that stays exact below ``bound``.
+    """An integer array of ``values`` that stays exact below ``bound``.
 
     ``bound`` must exceed the magnitude of every value and of every result
     the caller computes from them: the array is int64 when ``bound <= 2^63``

@@ -253,8 +253,11 @@ def _prefix_counts(index, shape):
         for axis in range(1, len(padded)):
             np.cumsum(block[1:], axis=axis, out=block[1:])
         block[0] = carry
-        for i in range(1, len(block)):  # row by row: a cumsum along a short axis 0 is slow
-            block[i] += block[i - 1]
+        if row:  # row by row: numpy's cumsum along a short axis 0 of long rows is slow
+            for i in range(1, len(block)):
+                block[i] += block[i - 1]
+        else:  # d = 1, rows of one cell
+            np.cumsum(block, out=block)
         carry = block[-1].copy()  # a view would keep the whole block alive
         yield r0, block
 
@@ -309,11 +312,10 @@ def _star_kernel(corners, scales, closed, lower) -> Fraction:
 
     ``corners[j]`` lists the sorted corner values of axis j as integers in
     units of ``1/scales[j]``.  ``closed[p, j]`` is the index of the first
-    corner of axis j with ``x_pj <= corner``, ``lower[p, j]`` that of the
-    last corner with ``corner <= x_pj`` (-1 if none).  A point is in the
-    closed box of corner i when its closed index is at most i on every axis,
-    and in the open box when its lower index is below i: so the open count
-    at corner i is the count of the lower indices at corner i - 1.
+    corner of axis j with ``x_pj <= corner``, ``lower[p, j]`` that of the last
+    with ``corner <= x_pj`` (-1 if none).  A point is in the closed (open) box
+    of corner i when its closed index is at most i (lower index below i) on
+    every axis: the open count at corner i is the lower count at i - 1.
     """
     n, d = closed.shape
     shape = tuple(len(c) for c in corners)

@@ -208,10 +208,10 @@ def lattice_scan(
     """Distribution of the star discrepancy over lattice generating vectors.
 
     ``exhaustive`` walks all size^dim vectors; ``sample`` draws ``count``
-    vectors from a seeded generator.  Before evaluating any, both refuse
-    more than ``MAX_SCAN_VECTORS`` vectors, or critical grids of up to
-    (size + 1)^dim corners each that sum past ``DEFAULT_WORK_BUDGET``.
-    Dimension 2 uses the exact sweep, dimension 3 the exact corner grid.
+    vectors from a seeded generator.  Before evaluating any, both refuse more
+    than ``MAX_SCAN_VECTORS`` vectors, or grids of up to (size + 1)^dim corners
+    each past ``DEFAULT_WORK_BUDGET`` in all.  Dimension 2 uses the exact
+    sweep, dimension 3 the exact corner grid.
     """
     if size < 1:
         raise ValidationError("size must be >= 1")

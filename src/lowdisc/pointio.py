@@ -315,8 +315,7 @@ def _format_ratio(num: int, den: int, decimal: int | None) -> str:
 
 
 def point_header(points: PointSet, decimal: int | None = None) -> str:
-    """The header line of a point file; it raises, as writing would, for a
-    spec with no serializable form or a decimal count below 1."""
+    """The header line of a point file; raises for an unserializable spec or decimal < 1."""
     if decimal is not None and decimal < 1:
         raise ValidationError("decimal digit count must be >= 1")
     fmt = "frac" if decimal is None else f"dec{decimal}"
