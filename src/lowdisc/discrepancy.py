@@ -253,11 +253,11 @@ def _prefix_counts(index, shape):
         for axis in range(1, len(padded)):
             np.cumsum(block[1:], axis=axis, out=block[1:])
         block[0] = carry
-        if row:  # row by row: numpy's cumsum along a short axis 0 of long rows is slow
+        if row_cells >= 512:  # numpy's cumsum along axis 0 is slow on long rows: add them one by one
             for i in range(1, len(block)):
                 block[i] += block[i - 1]
-        else:  # d = 1, rows of one cell
-            np.cumsum(block, out=block)
+        else:  # rows loop slower than the cumsum below about 300 cells (x86-64)
+            np.cumsum(block, axis=0, out=block)
         carry = block[-1].copy()  # a view would keep the whole block alive
         yield r0, block
 

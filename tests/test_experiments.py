@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lowdisc.algebra import fixedpoint_sqrt
-from lowdisc.discrepancy import star_disc_2d_sweep
-from lowdisc.discrepancy import DEFAULT_WORK_BUDGET
+from lowdisc.discrepancy import DEFAULT_WORK_BUDGET, star_disc_2d_sweep
 from lowdisc.errors import BudgetError, ValidationError
 from lowdisc.experiments import (
     MAX_SCAN_VECTORS,
