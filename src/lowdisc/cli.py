@@ -69,27 +69,6 @@ def _spec_from_arg(arg: str):
     return parse_spec(arg)
 
 
-def _plan_from_file(path: str):
-    from .experiments import ExperimentPlan
-    from .pointio import parse_spec
-
-    cfg = _read_keyvalue_file(path)
-    if "spec" not in cfg or "schedule" not in cfg:
-        raise ValidationError("plan files need at least 'spec' and 'schedule'")
-    try:
-        norm_exponent = float(cfg.get("p", "1"))
-    except ValueError:
-        raise ValidationError(f"{path}: p: {cfg['p']!r} is not a number") from None
-    return ExperimentPlan(
-        spec=parse_spec(cfg["spec"]),
-        schedule=_ints(cfg["schedule"], f"{path}: schedule"),
-        kind=cfg.get("kind", "star"),
-        algo=cfg.get("algo", "auto"),
-        bracket_k=_int(cfg.get("k", "512"), f"{path}: k"),
-        norm_exponent=norm_exponent,
-    )
-
-
 # -- subcommand bodies ---------------------------------------------------------
 
 
@@ -107,7 +86,7 @@ def _cmd_gen(args) -> None:
 
 
 def _cmd_disc(args) -> None:
-    from .discrepancy import DEFAULT_WORK_BUDGET, compute_discrepancy
+    from .discrepancy import DEFAULT_BRACKET_K, DEFAULT_WORK_BUDGET, compute_discrepancy
     from .pointio import read_points
 
     if args.infile == "-":
@@ -116,7 +95,8 @@ def _cmd_disc(args) -> None:
         with open(args.infile, encoding="utf-8") as fh:
             data = read_points(fh)
     budget = DEFAULT_WORK_BUDGET if args.budget is None else args.budget
-    result = compute_discrepancy(data.columns, kind=args.kind, algo=args.algo, k=args.k, work_budget=budget)
+    k = DEFAULT_BRACKET_K if args.k is None else args.k
+    result = compute_discrepancy(data.columns, kind=args.kind, algo=args.algo, k=k, work_budget=budget)
     _emit(result.to_json(decimal=args.decimal) + "\n", args.out)
 
 
@@ -182,10 +162,11 @@ def _cmd_schmidt(args) -> None:
 
 def _cmd_littlewood(args) -> None:
     from .diophantine import littlewood_scan
-    from .pointio import format_coordinate, parse_alpha
+    from .pointio import DEFAULT_WIDTH, format_coordinate, parse_alpha
 
-    alpha = parse_alpha(args.alpha, args.width)
-    beta = parse_alpha(args.beta, args.width)
+    width = DEFAULT_WIDTH if args.width is None else args.width
+    alpha = parse_alpha(args.alpha, width)
+    beta = parse_alpha(args.beta, width)
     res = littlewood_scan(alpha, beta, args.nmax)
     text = (
         f"min={format_coordinate(res.min_value, args.decimal)}\n"
@@ -196,26 +177,22 @@ def _cmd_littlewood(args) -> None:
 
 
 def _cmd_experiment(args) -> None:
-    from .experiments import preset, run_scaling, scaling_csv
+    from dataclasses import replace
 
-    schedule = None
-    if args.schedule:
-        schedule = _ints(args.schedule, "--schedule")
-    if args.preset:
-        plan = preset(
-            args.preset,
-            alpha=args.alpha,
-            width=args.width,
-            schedule=schedule,
-            bracket_k=args.k,
-        )
+    from .experiments import plan_from_settings, preset, run_scaling, scaling_csv
+
+    if args.plan is None:
+        plan = preset(args.preset, alpha=args.alpha, width=args.width)
+    elif args.alpha is not None or args.width is not None:
+        raise ValidationError("--alpha and --width fill preset specs; a plan file states its spec")
     else:
-        plan = _plan_from_file(args.plan)
-        if schedule is not None:
-            from dataclasses import replace
-
-            plan = replace(plan, schedule=schedule)
-    rows = run_scaling(plan)
+        plan = plan_from_settings(_read_keyvalue_file(args.plan), args.plan)
+    overrides: dict = {}
+    if args.schedule is not None:
+        overrides["schedule"] = _ints(args.schedule, "--schedule")
+    if args.k is not None:
+        overrides["bracket_k"] = args.k
+    rows = run_scaling(replace(plan, **overrides))
     _emit(scaling_csv(rows, decimal=args.decimal), args.out)
 
 
@@ -275,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="point file, or - for stdin")
     p.add_argument("--kind", choices=("star", "extreme"), default="star")
     p.add_argument("--algo", choices=("auto", "1d", "2d", "grid", "bracket"), default="auto")
-    p.add_argument("--k", type=int, default=512,
+    p.add_argument("--k", type=int, default=None,
                    help="bracket resolution; auto may lower it in d >= 3 to fit its cell cap")
     p.add_argument("--budget", type=int, default=None,
                    help="most grid cells a kernel may visit (corners, corner pairs or lattice points)")
@@ -287,8 +264,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "sample"), default="exhaustive")
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--count", type=int, default=None, help="sample mode only")
+    p.add_argument("--seed", type=int, default=None, help="sample mode only")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_scan_lattice)
 
@@ -326,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--width", type=int, default=128)
+    p.add_argument("--width", type=int, default=None)
     p.add_argument("--out")
     p.add_argument("--decimal", type=int, default=None)
     p.set_defaults(func=_cmd_littlewood)
@@ -336,8 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--preset")
     group.add_argument("--plan", help="key-value plan file")
     p.add_argument("--schedule", help="override schedule, comma-separated")
-    p.add_argument("--alpha", default="sqrt2", help="alpha token for presets that take one")
-    p.add_argument("--width", type=int, default=None)
+    p.add_argument("--alpha", help="alpha token for op12-digitsum-alpha")
+    p.add_argument("--width", type=int, help="fixed-point bits for op9-vdc-sqrt2 and op12-digitsum-alpha")
     p.add_argument("--k", type=int, default=None, help="bracket resolution override")
     p.add_argument("--out")
     p.add_argument("--decimal", type=int, default=None)

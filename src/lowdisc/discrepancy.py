@@ -82,6 +82,10 @@ __all__ = [
 DEFAULT_WORK_BUDGET = 10**8
 AUTO_EXACT_CAP = 10**7
 
+# The algorithms compute_discrepancy routes to, and its bracket resolution.
+ALGORITHMS = ("auto", "1d", "2d", "grid", "bracket")
+DEFAULT_BRACKET_K = 512
+
 
 def _check_cells(grid: str, cells: int, budget: int) -> None:
     """Refuse a grid of more than ``budget`` cells before anything is built."""
@@ -548,7 +552,7 @@ def compute_discrepancy(
     points,
     kind: str = "star",
     algo: str = "auto",
-    k: int = 512,
+    k: int = DEFAULT_BRACKET_K,
     *,
     work_budget: int = DEFAULT_WORK_BUDGET,
 ) -> DiscrepancyResult:
@@ -568,7 +572,7 @@ def compute_discrepancy(
         raise ValidationError("empty point set")
     if kind not in ("star", "extreme"):
         raise ValidationError(f"unknown discrepancy kind {kind!r}")
-    if algo not in ("auto", "1d", "2d", "grid", "bracket"):
+    if algo not in ALGORITHMS:
         raise ValidationError(f"unknown algorithm {algo!r}")
     if algo == "1d" or (algo == "auto" and d == 1):
         return (star_disc_1d if kind == "star" else extreme_disc_1d)(points)

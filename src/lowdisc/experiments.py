@@ -1,6 +1,12 @@
 """Experiment harness: discrepancy scaling tables and generating-vector
 scans.  The exponent fits of :mod:`lowdisc.fit` are re-exported here.
 
+A plan comes from ``key = value`` settings through :func:`plan_from_settings`,
+whether they are read from a plan file or are one of the presets: each
+preset is a table entry with the settings a plan file would carry (a spec
+string, a schedule, ``p``, and ``algo``/``k`` where they differ from the
+defaults), so ``gen --spec`` with a preset's spec reproduces its points.
+
 Schedules default to geometric growth in N because every comparison of
 interest is against polylog(N)/N laws; linear schedules waste budget.
 Bracketed rows feed fits through their interval midpoint, and the interval
@@ -19,25 +25,20 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .algebra import GenMatrix, fixedpoint_sqrt
-from .discrepancy import DEFAULT_WORK_BUDGET, DiscrepancyResult, compute_discrepancy
+from .discrepancy import ALGORITHMS, DEFAULT_BRACKET_K, DEFAULT_WORK_BUDGET, DiscrepancyResult, compute_discrepancy
 from .errors import BudgetError, LowdiscError, ValidationError
 from .fit import FitResult, fit_exponent
 from .generators import (
-    Digital,
     DigitSumFiltered,
-    Halton,
     Hammersley,
     Hybrid,
-    Kronecker,
     Lattice,
     PointSet,
-    PowerRatio,
     SequenceSpec,
     lattice_point_set,
     stream,
 )
-from .pointio import format_coordinate, parse_alpha
+from .pointio import DEFAULT_WIDTH, _int, format_coordinate, parse_alpha, parse_spec
 
 __all__ = [
     "ExperimentPlan",
@@ -48,6 +49,7 @@ __all__ = [
     "lattice_scan",
     "lattice_scan_csv",
     "ln_bounds",
+    "plan_from_settings",
     "preset",
     "preset_names",
     "run_scaling",
@@ -80,7 +82,7 @@ class ExperimentPlan:
     schedule: tuple[int, ...]
     kind: str = "star"
     algo: str = "auto"
-    bracket_k: int = 512
+    bracket_k: int = DEFAULT_BRACKET_K
     norm_exponent: float = 1.0
 
     def __post_init__(self) -> None:
@@ -94,6 +96,30 @@ class ExperimentPlan:
             raise ValidationError("normalization exponent must be >= 0")
         if self.kind not in ("star", "extreme"):
             raise ValidationError(f"unknown discrepancy kind {self.kind!r}")
+        if self.algo not in ALGORITHMS:
+            raise ValidationError(f"unknown algorithm {self.algo!r}; available: {', '.join(ALGORITHMS)}")
+        if self.bracket_k < 2:
+            raise ValidationError("bracket resolution must be >= 2")
+
+
+def plan_from_settings(settings: dict[str, str], where: str) -> ExperimentPlan:
+    """The plan of ``key = value`` settings, as a plan file or a preset gives
+    them: ``spec`` and ``schedule`` (comma- or blank-separated), and optionally
+    ``kind``, ``algo``, ``k`` (the bracket resolution) and ``p`` (the
+    exponent of ln N in the normalized column).  Errors name ``where`` and
+    the key."""
+    if "spec" not in settings or "schedule" not in settings:
+        raise ValidationError("plan files need at least 'spec' and 'schedule'")
+    options: dict = {key: settings[key] for key in ("kind", "algo") if key in settings}
+    if "k" in settings:
+        options["bracket_k"] = _int(settings["k"], f"{where}: k")
+    if "p" in settings:
+        try:
+            options["norm_exponent"] = float(settings["p"])
+        except ValueError:
+            raise ValidationError(f"{where}: p: {settings['p']!r} is not a number") from None
+    schedule = tuple(_int(v, f"{where}: schedule") for v in settings["schedule"].replace(",", " ").split())
+    return ExperimentPlan(spec=parse_spec(settings["spec"]), schedule=schedule, **options)
 
 
 @dataclass(frozen=True)
@@ -207,11 +233,12 @@ def lattice_scan(
 ) -> LatticeScanSummary:
     """Distribution of the star discrepancy over lattice generating vectors.
 
-    ``exhaustive`` walks all size^dim vectors; ``sample`` draws ``count``
-    vectors from a seeded generator.  Before evaluating any, both refuse more
-    than ``MAX_SCAN_VECTORS`` vectors, or grids of up to (size + 1)^dim corners
-    each past ``DEFAULT_WORK_BUDGET`` in all.  Dimension 2 uses the exact
-    sweep, dimension 3 the exact corner grid.
+    ``exhaustive`` walks all size^dim vectors and takes no ``count`` or
+    ``seed``; ``sample`` draws ``count`` vectors from a seeded generator.
+    Before evaluating any, both refuse more than ``MAX_SCAN_VECTORS``
+    vectors, or grids of up to (size + 1)^dim corners each past
+    ``DEFAULT_WORK_BUDGET`` in all.  Dimension 2 uses the exact sweep,
+    dimension 3 the exact corner grid.
     """
     if size < 1:
         raise ValidationError("size must be >= 1")
@@ -224,6 +251,8 @@ def lattice_scan(
             raise ValidationError("sample count must be >= 1")
     elif mode != "exhaustive":
         raise ValidationError(f"unknown scan mode {mode!r}")
+    elif count is not None or seed is not None:
+        raise ValidationError("exhaustive mode takes no count or seed")
     total = size**dim if mode == "exhaustive" else count
     if total > MAX_SCAN_VECTORS:
         raise BudgetError(f"{total} vectors exceed the cap of {MAX_SCAN_VECTORS}")
@@ -272,56 +301,25 @@ def lattice_scan_csv(summary: LatticeScanSummary) -> str:
 # Presets
 # ---------------------------------------------------------------------------
 
-
-def _geometric(base: int, lo: int, hi: int) -> tuple[int, ...]:
-    return tuple(base**j for j in range(lo, hi + 1))
-
-
-def _preset_op9(alpha: str, width: int | None) -> ExperimentPlan:
-    del alpha
-    w = width or 192
-    spec = Hybrid(Halton((2,)), Kronecker((fixedpoint_sqrt(2, w),)))
-    return ExperimentPlan(spec=spec, schedule=_geometric(2, 4, 14), norm_exponent=2.0)
-
-
-def _preset_op12(alpha: str, width: int | None) -> ExperimentPlan:
-    w = width or 128
-    spec = DigitSumFiltered(Kronecker((parse_alpha(alpha, w),)))
-    return ExperimentPlan(spec=spec, schedule=_geometric(2, 4, 14), norm_exponent=1.0)
-
-
-def _preset_halton23(alpha: str, width: int | None) -> ExperimentPlan:
-    del alpha, width
-    return ExperimentPlan(spec=Halton((2, 3)), schedule=_geometric(2, 4, 12), norm_exponent=2.0)
-
-
-def _preset_c1(alpha: str, width: int | None) -> ExperimentPlan:
-    del alpha, width
-    spec = Hybrid(
-        Digital(3, (GenMatrix.ones_first_row(3),), precision=26),
-        Digital(2, (GenMatrix.identity(2),), precision=32),
-    )
-    return ExperimentPlan(spec=spec, schedule=_geometric(6, 1, 6), norm_exponent=2.0)
-
-
-def _preset_hammersley_lattice(alpha: str, width: int | None) -> ExperimentPlan:
-    del alpha, width
-    spec = Hybrid(Hammersley(233, (2,)), Lattice(233, (144,)))
-    return ExperimentPlan(spec=spec, schedule=(233,), algo="bracket", bracket_k=128, norm_exponent=2.0)
-
-
-def _preset_power32(alpha: str, width: int | None) -> ExperimentPlan:
-    del alpha, width
-    return ExperimentPlan(spec=PowerRatio(3, 2), schedule=_geometric(2, 4, 12), norm_exponent=1.0)
-
-
-_PRESETS = {
-    "op9-vdc-sqrt2": _preset_op9,
-    "op12-digitsum-alpha": _preset_op12,
-    "halton-2-3": _preset_halton23,
-    "c1-counterexample": _preset_c1,
-    "hammersley-lattice": _preset_hammersley_lattice,
-    "power-3-2": _preset_power32,
+# Each preset is the plan file with these settings, so ``gen --spec`` with its
+# spec reproduces its points.  A ``{field}`` of a spec is filled from the
+# ``preset`` keyword of that name, or else from its default in _FIELDS.
+_PRESETS: dict[str, dict[str, str]] = {
+    "op9-vdc-sqrt2": {"spec": "hybrid:left=(halton:bases=2),right=(kronecker:width={width},alphas=sqrt2)",
+                      "schedule": "16,32,64,128,256,512,1024,2048,4096,8192,16384", "p": "2"},
+    "op12-digitsum-alpha": {"spec": "digitsum:inner=(kronecker:width={width},alphas={alpha})",
+                            "schedule": "16,32,64,128,256,512,1024,2048,4096,8192,16384", "p": "1"},
+    "halton-2-3": {"spec": "halton:bases=2|3", "schedule": "16,32,64,128,256,512,1024,2048,4096", "p": "2"},
+    "c1-counterexample": {
+        "spec": "hybrid:left=(digital:q=3,L=26,matrices=onesrow),right=(digital:q=2,L=32,matrices=identity)",
+        "schedule": "6,36,216,1296,7776,46656", "p": "2"},
+    "hammersley-lattice": {"spec": "hybrid:left=(hammersley:N=233,bases=2),right=(lattice:N=233,gens=144)",
+                           "schedule": "233", "p": "2", "algo": "bracket", "k": "128"},
+    "power-3-2": {"spec": "power-ratio:p=3,r=2", "schedule": "16,32,64,128,256,512,1024,2048,4096", "p": "1"},
+}
+_FIELDS: dict[str, dict] = {
+    "op9-vdc-sqrt2": {"width": 192},
+    "op12-digitsum-alpha": {"alpha": "sqrt2", "width": DEFAULT_WIDTH},
 }
 
 
@@ -332,21 +330,33 @@ def preset_names() -> tuple[str, ...]:
 def preset(
     name: str,
     *,
-    alpha: str = "sqrt2",
+    alpha: str | None = None,
     width: int | None = None,
     schedule: tuple[int, ...] | None = None,
     bracket_k: int | None = None,
 ) -> ExperimentPlan:
     """A ready-made plan for one of the named study objects.
 
-    ``alpha`` feeds the digit-sum preset; ``schedule`` and ``bracket_k``
-    override the defaults without changing the sequence itself.
+    ``alpha`` (one alpha token) and ``width`` (bits, >= 1) fill the spec
+    fields of the presets that have them, and are refused by the others;
+    ``schedule`` and ``bracket_k`` override the plan without changing the
+    sequence itself.
     """
     if name not in _PRESETS:
         raise ValidationError(
             f"unknown preset {name!r}; available: {', '.join(preset_names())}"
         )
-    plan = _PRESETS[name](alpha, width)
+    given = {key: value for key, value in (("alpha", alpha), ("width", width)) if value is not None}
+    fields = _FIELDS.get(name, {})
+    unused = [key for key in given if key not in fields]
+    if unused:
+        raise ValidationError(f"preset {name} takes no {' or '.join(unused)}")
+    fields = {**fields, **given}
+    if fields.get("width", 1) < 1:
+        raise ValidationError(f"width must be >= 1, got {fields['width']}")
+    if "alpha" in fields:
+        parse_alpha(fields["alpha"], fields["width"])  # a token that parses cannot break the spec grammar
+    plan = plan_from_settings(dict(_PRESETS[name], spec=_PRESETS[name]["spec"].format(**fields)), name)
     if schedule is not None:
         plan = replace(plan, schedule=tuple(schedule))
     if bracket_k is not None:

@@ -123,7 +123,7 @@ def _int(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ValidationError(f"{what} must be an integer, got {text!r}") from None
+        raise ValidationError(f"{what}: {text!r} is not an integer") from None
 
 
 def _poly(token: str, what: str) -> tuple[int, ...]:
@@ -371,7 +371,8 @@ def read_points(fh) -> ReadPoints:
 
     A file that stores a rounding of the ideal points (a fixed-point ``repr``
     or a decimal ``format``) comes back tagged ``coerced``, so a discrepancy
-    of it certifies the represented points only.
+    of it certifies the represented points only.  A header's ``dim`` and
+    ``count``, where given, must match the rows, so a truncated file is refused.
     """
     header: dict[str, str] = {}
     axes: list = []  # per axis: numerators, denominators, one shared object per denominator
@@ -390,14 +391,17 @@ def read_points(fh) -> ReadPoints:
         except (ValueError, ZeroDivisionError):
             raise ValidationError(f"line {lineno}: cannot parse coordinates {line!r}") from None
         if not axes:
-            axes = [([], [], {}) for _ in coords]
-        elif len(coords) != len(axes):
+            axes = [([], [], {}) for _ in range(_int(header["dim"], "dim") if "dim" in header else len(coords))]
+        if len(coords) != len(axes):
             raise ValidationError(f"line {lineno}: expected {len(axes)} coordinates, got {len(coords)}")
         for (num, den), (nums, dens, shared) in zip(coords, axes):
             if not 0 <= num < den:
                 raise ValidationError(f"line {lineno}: coordinate {Fraction(num, den)} outside [0, 1)")
             nums.append(num)
             dens.append(shared.setdefault(den, den))
+    count = len(axes[0][0]) if axes else 0
+    if "count" in header and _int(header["count"], "count") != count:
+        raise ValidationError(f"the header says count={header['count']} but the file has {count} points")
     represented = header.get("repr", "exact") != "exact" or header.get("format", "frac") != "frac"
     tag = ReprTag("exact", coerced=True) if represented else EXACT
     return ReadPoints(Columns.from_ratios(((nums, dens) for nums, dens, _ in axes), tag), header)

@@ -186,10 +186,22 @@ DIGITAL = "digital:q=3,L=4,matrices="
         (("gen", "--spec", DIGITAL + "finiterandom(size=4,seed=1,rho=x)", "--count", "4"), None, "rho"),
         (("gen", "--spec", DIGITAL + "rows:1x", "--count", "4"), None, "rows entry"),
         (("cfrac", "--bl", "-1"), None, "L must be >= 0"),
+        # flags a command would ignore, and plan settings it would fail every row on
+        (("experiment", "--preset", "op12-digitsum-alpha", "--width", "0"), None, "width must be >= 1"),
+        (("experiment", "--preset", "op12-digitsum-alpha", "--alpha", "sqrt2|sqrt3"), None, "sqrt argument"),
+        (("experiment", "--preset", "halton-2-3", "--alpha", "zzz", "--width", "-3"), None, "takes no"),
+        (("experiment", "--preset", "op9-vdc-sqrt2", "--alpha", "golden"), None, "takes no alpha"),
+        (("experiment", "--plan", "{file}", "--alpha", "golden"), PLAN, "--alpha"),
+        (("experiment", "--plan", "{file}", "--width", "64"), PLAN, "--width"),
+        (("experiment", "--plan", "{file}"), PLAN + "algo = foo\n", "unknown algorithm 'foo'"),
+        (("experiment", "--plan", "{file}"), PLAN + "algo = bracket\nk = 1\n", "bracket resolution"),
+        (("scan-lattice", "--N", "5", "--d", "2", "--mode", "exhaustive", "--count", "3"), None, "count"),
+        (("scan-lattice", "--N", "5", "--d", "2", "--seed", "3"), None, "seed"),
     ],
     ids=["rational", "gens", "schedule", "plan-k", "plan-p", "plan-schedule", "fit-no-N", "fit-N",
          "fit-value", "fit-short-row", "random-size", "finiterandom-seed", "finiterandom-rho", "rows",
-         "cfrac-bl"],
+         "cfrac-bl", "op12-width-0", "op12-two-alphas", "halton-alpha-width", "op9-alpha", "plan-alpha",
+         "plan-width", "plan-algo", "plan-k-1", "exhaustive-count", "exhaustive-seed"],
 )
 def test_malformed_numbers_exit_2(argv, text, names, tmp_path):
     path = tmp_path / "input"
@@ -301,6 +313,24 @@ def test_experiment_plan_file(tmp_path):
     code, out, _ = run_cli("experiment", "--plan", str(plan))
     assert code == 0
     assert out.count("\n") == 4  # header + three rows
+
+
+def test_disc_refuses_a_truncated_point_file(tmp_path):
+    full, cut = tmp_path / "h.tsv", tmp_path / "h5.tsv"
+    assert run_cli("gen", "--spec", "halton:bases=2|3", "--count", "8", "--out", str(full))[0] == 0
+    cut.write_text("".join(full.read_text().splitlines(keepends=True)[:5]))
+    code, out, err = run_cli("disc", "--in", str(cut))
+    assert (code, out) == (2, "")
+    assert err == "error: the header says count=8 but the file has 4 points\n"
+
+
+def test_experiment_plan_applies_k_override(tmp_path):
+    plan = tmp_path / "plan.cfg"
+    plan.write_text("spec = halton:bases=2|3\nschedule = 16,32\nalgo = bracket\n")
+    code, out, _ = run_cli("experiment", "--plan", str(plan), "--k", "4")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [(r[2], r[6]) for r in rows] == [("bracketed", "1/4")] * 2
 
 
 def test_experiment_rejects_plan_without_schedule(tmp_path):

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from lowdisc.algebra import fixedpoint_sqrt
-from lowdisc.discrepancy import DEFAULT_WORK_BUDGET, star_disc_2d_sweep
+from lowdisc.algebra import GenMatrix, fixedpoint_sqrt
+from lowdisc.discrepancy import DEFAULT_BRACKET_K, DEFAULT_WORK_BUDGET, star_disc_2d_sweep
 from lowdisc.errors import BudgetError, ValidationError
 from lowdisc.experiments import (
+    _FIELDS,
+    _PRESETS,
     MAX_SCAN_VECTORS,
     ExperimentPlan,
     ScalingRow,
@@ -16,12 +18,15 @@ from lowdisc.experiments import (
     lattice_scan,
     lattice_scan_csv,
     ln_bounds,
+    plan_from_settings,
     preset,
     preset_names,
     run_scaling,
     scaling_csv,
 )
 from lowdisc.generators import (
+    Digital,
+    DigitSumFiltered,
     Halton,
     Hammersley,
     Hybrid,
@@ -31,6 +36,7 @@ from lowdisc.generators import (
     lattice_point_set,
     stream,
 )
+from lowdisc.pointio import parse_spec, spec_to_string
 
 
 # frozen at first computation: exact star discrepancy of the base-2 radical
@@ -54,6 +60,12 @@ def test_ln_bounds_enclose():
 # -- plans and scaling runs -----------------------------------------------------
 
 
+def test_plan_from_settings_defaults():
+    plan = plan_from_settings({"spec": "halton:bases=2", "schedule": "16, 32"}, "f")
+    assert plan == ExperimentPlan(spec=plan.spec, schedule=(16, 32))
+    assert plan.bracket_k == DEFAULT_BRACKET_K == 512
+
+
 def test_plan_validation():
     with pytest.raises(ValidationError):
         ExperimentPlan(spec=Halton((2,)), schedule=())
@@ -63,6 +75,10 @@ def test_plan_validation():
         ExperimentPlan(spec=Halton((2,)), schedule=(2, 4), norm_exponent=-1)
     with pytest.raises(ValidationError):
         ExperimentPlan(spec=Halton((2,)), schedule=(2, 4), kind="weird")
+    with pytest.raises(ValidationError, match="unknown algorithm 'foo'"):
+        ExperimentPlan(spec=Halton((2,)), schedule=(2, 4), algo="foo")
+    with pytest.raises(ValidationError, match="bracket resolution"):
+        ExperimentPlan(spec=Halton((2,)), schedule=(2, 4), algo="bracket", bracket_k=1)
 
 
 def test_run_scaling_vdc_fixture():
@@ -201,6 +217,10 @@ def test_lattice_scan_guards():
         lattice_scan(5, 4)
     with pytest.raises(ValidationError):
         lattice_scan(5, 2, "sample")
+    with pytest.raises(ValidationError, match="exhaustive"):
+        lattice_scan(5, 2, count=3)
+    with pytest.raises(ValidationError, match="exhaustive"):
+        lattice_scan(5, 2, seed=3)
 
 
 def _refuse_evaluation(*args):
@@ -280,6 +300,47 @@ def test_preset_op12_takes_alpha():
     plan = preset("op12-digitsum-alpha", alpha="golden", width=96)
     inner = plan.spec.inner
     assert inner.alphas[0].label == "golden" and inner.alphas[0].width == 96
+
+
+def test_preset_specs_are_canonical():
+    for name in preset_names():
+        text = _PRESETS[name]["spec"].format(**_FIELDS.get(name, {}))
+        assert spec_to_string(parse_spec(text)) == text
+        assert spec_to_string(preset(name).spec) == text
+
+
+# each preset's study object built from the generator classes, without the spec grammar
+PRESET_OBJECTS = {
+    "op9-vdc-sqrt2": Hybrid(Halton((2,)), Kronecker((fixedpoint_sqrt(2, 192),))),
+    "op12-digitsum-alpha": DigitSumFiltered(Kronecker((fixedpoint_sqrt(2, 128),))),
+    "halton-2-3": Halton((2, 3)),
+    "c1-counterexample": Hybrid(
+        Digital(3, (GenMatrix.ones_first_row(3),), precision=26),
+        Digital(2, (GenMatrix.identity(2),), precision=32),
+    ),
+    "hammersley-lattice": Hybrid(Hammersley(233, (2,)), Lattice(233, (144,))),
+    "power-3-2": PowerRatio(3, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_OBJECTS))
+def test_preset_specs_generate_the_objects_points(name):
+    n = min(preset(name).schedule[-1], 2048)
+    got, want = stream(preset(name).spec, 0, n), stream(PRESET_OBJECTS[name], 0, n)
+    assert got.tag == want.tag and got.scales == want.scales
+    assert [c.tolist() for c in got.columns] == [c.tolist() for c in want.columns]
+
+
+def test_preset_fields_are_checked_before_they_are_filled():
+    with pytest.raises(ValidationError, match="width must be >= 1"):
+        preset("op12-digitsum-alpha", width=0)
+    with pytest.raises(ValidationError):
+        preset("op12-digitsum-alpha", alpha="sqrt2|sqrt3")
+    with pytest.raises(ValidationError, match="takes no alpha"):
+        preset("halton-2-3", alpha="sqrt2")
+    with pytest.raises(ValidationError, match="takes no width"):
+        preset("c1-counterexample", width=64)
+    assert preset("op9-vdc-sqrt2", width=64).spec.right.alphas[0].width == 64
 
 
 def test_preset_hammersley_lattice():

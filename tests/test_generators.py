@@ -465,6 +465,22 @@ def test_read_points_errors_name_the_line(bad, message):
         read_points(io.StringIO(text))
 
 
+def test_read_points_checks_the_header_against_the_rows():
+    full = "# spec=halton:bases=2|3 dim=2 count=4\n0\t0\n1/2\t1/3\n1/4\t2/3\n3/4\t1/9\n"
+    assert read_points(io.StringIO(full)).columns.count == 4
+    truncated = "\n".join(full.splitlines()[:3]) + "\n"
+    with pytest.raises(ValidationError, match="^the header says count=4 but the file has 2 points$"):
+        read_points(io.StringIO(truncated))
+    # the header's dim sets the width of every line, the first included
+    with pytest.raises(ValidationError, match="^line 2: expected 2 coordinates, got 1"):
+        read_points(io.StringIO("# dim=2 count=1\n1/2\n"))
+    # a bad line is reported before the count is checked
+    with pytest.raises(ValidationError, match="^line 3: coordinate 1 outside"):
+        read_points(io.StringIO("# dim=1 count=9\n1/2\n1\n"))
+    # a file without those keys reads as it does without a header
+    assert read_points(io.StringIO("# spec=halton:bases=2\n1/2\n1/4\n")).columns.count == 2
+
+
 def test_isqrt_reference_for_sqrt_tokens():
     spec = parse_spec("kronecker:width=64,alphas=sqrt2")
     alpha = spec.alphas[0]
