@@ -8,8 +8,9 @@ error, 3 budget exceeded.  Every command is deterministic given its flags
 The parser is built without loading any computational module: each command
 handler imports what it uses, so ``cfrac``, ``zaremba`` and ``moser`` load
 only :mod:`lowdisc.diophantine` and :mod:`lowdisc.algebra`, and numpy is
-loaded only by the commands that build arrays (``gen``, ``disc``,
-``scan-lattice``, ``experiment``).
+loaded only where arrays are built: by ``scan-lattice``, and by ``gen``,
+``disc`` and ``experiment`` unless every point column is a list of Python
+ints over a scale above 2^63 and no kernel in d >= 2 runs.
 """
 
 from __future__ import annotations
@@ -89,6 +90,13 @@ def _cmd_disc(args) -> None:
     from .discrepancy import DEFAULT_BRACKET_K, DEFAULT_WORK_BUDGET, compute_discrepancy
     from .pointio import read_points
 
+    if args.k is not None:
+        if args.algo not in ("auto", "bracket"):
+            raise ValidationError(f"--k sets a bracket resolution; --algo {args.algo} runs no bracket")
+        if args.kind == "extreme":
+            raise ValidationError("--k sets a bracket resolution; the extreme kind has no bracket")
+        if args.k < 2:
+            raise ValidationError("bracket resolution must be >= 2")
     if args.infile == "-":
         data = read_points(sys.stdin)
     else:
@@ -253,7 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("star", "extreme"), default="star")
     p.add_argument("--algo", choices=("auto", "1d", "2d", "grid", "bracket"), default="auto")
     p.add_argument("--k", type=int, default=None,
-                   help="bracket resolution; auto may lower it in d >= 3 to fit its cell cap")
+                   help="bracket resolution (>= 2) of the star kind, for --algo bracket or auto;"
+                        " auto may lower it in d >= 3 to fit its cell cap")
     p.add_argument("--budget", type=int, default=None,
                    help="most grid cells a kernel may visit (corners, corner pairs or lattice points)")
     p.add_argument("--out")

@@ -102,12 +102,19 @@ class ExperimentPlan:
             raise ValidationError("bracket resolution must be >= 2")
 
 
+# The keys of a plan file.
+PLAN_KEYS = ("spec", "schedule", "kind", "algo", "k", "p")
+
+
 def plan_from_settings(settings: dict[str, str], where: str) -> ExperimentPlan:
     """The plan of ``key = value`` settings, as a plan file or a preset gives
     them: ``spec`` and ``schedule`` (comma- or blank-separated), and optionally
     ``kind``, ``algo``, ``k`` (the bracket resolution) and ``p`` (the
-    exponent of ln N in the normalized column).  Errors name ``where`` and
-    the key."""
+    exponent of ln N in the normalized column).  Any other key is refused.
+    Errors name ``where`` and the key."""
+    unknown = [key for key in settings if key not in PLAN_KEYS]
+    if unknown:
+        raise ValidationError(f"{where}: unknown plan key {unknown[0]!r}; plans take {', '.join(PLAN_KEYS)}")
     if "spec" not in settings or "schedule" not in settings:
         raise ValidationError("plan files need at least 'spec' and 'schedule'")
     options: dict = {key: settings[key] for key in ("kind", "algo") if key in settings}

@@ -4,9 +4,11 @@ Every family is described by an immutable spec object (the configuration
 currency of the whole package: the CLI, the experiment harness, and the
 emission format all speak specs).  A spec knows its dimension and generates
 points in batches only: ``spec.batch(indices)`` returns :class:`Columns`,
-one integer numerator array per axis over a denominator known from the spec
+one integer numerator column per axis over a denominator known from the spec
 (2^W for Kronecker, q^L for digital, b^k for Halton with k the digit count
-of the last index, N for lattice and Hammersley sets).  :class:`Columns` is
+of the last index, N for lattice and Hammersley sets).  A column is an int64
+array when its scale is at most 2^63 and a list of Python ints above, so a
+one-dimensional run on wide integers never loads numpy.  :class:`Columns` is
 the one point batch of the package: generators, point files and kernels all
 hand it over.  :func:`stream` materializes an index range as a
 :class:`PointSet`, which is :class:`Columns` plus its provenance (``spec``
@@ -42,7 +44,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
-from typing import TYPE_CHECKING
 
 from .algebra import (
     FixedPointReal,
@@ -55,9 +56,6 @@ from .algebra import (
     poly_gcd,
 )
 from .errors import LowdiscError, TruncationError, ValidationError
-
-if TYPE_CHECKING:  # numpy is imported inside the functions that build arrays
-    import numpy as np
 
 __all__ = [
     "Columns",
@@ -75,6 +73,8 @@ __all__ = [
     "ReprTag",
     "SequenceSpec",
     "digitsum_filtered_index",
+    "int_column",
+    "int_list",
     "lattice_point_set",
     "radical_inverse",
     "stream",
@@ -112,12 +112,29 @@ class ReprTag:
 EXACT = ReprTag("exact")
 
 
+def int_column(values, bound: int):
+    """The column of ``values``, all in ``[0, bound)``: an int64 array when
+    ``bound <= 2^63``, else a list of Python ints (``values`` itself when it
+    is a list)."""
+    if bound <= 1 << 63:
+        return int_array(values, bound)
+    if isinstance(values, list):
+        return values
+    return values.tolist() if hasattr(values, "tolist") else list(values)
+
+
+def int_list(column) -> list[int]:
+    """The values of a column as Python ints: a list column itself, not a copy."""
+    return column if isinstance(column, list) else column.tolist()
+
+
 @dataclass(frozen=True, eq=False)
 class Columns:
-    """A batch of points, one integer array per axis.
+    """A batch of points, one integer column per axis.
 
-    Coordinate j of point i is ``columns[j][i] / scales[j]``.  An array is
-    int64, or holds Python ints where int64 arithmetic could overflow.
+    Coordinate j of point i is ``columns[j][i] / scales[j]``.  A column is
+    an int64 array when its scale is at most 2^63, else a list of Python ints
+    (see :func:`int_column`; :func:`int_list` reads either as Python ints).
     The tag decides what a discrepancy of the batch certifies; ``rows()``
     is a ``Fraction`` view built on demand.
     """
@@ -133,14 +150,15 @@ class Columns:
     @classmethod
     def from_ratios(cls, axes, tag: ReprTag) -> "Columns":
         """Columns of per-axis ``(numerators, denominators)`` lists, each axis over
-        the lcm of its distinct denominators; the numerators are rescaled in place."""
+        the lcm of its distinct denominators; the numerators are rescaled in place,
+        and a wide axis keeps the list itself as its column."""
         columns, scales = [], []
         for nums, dens in axes:
             scale = lcm(*set(dens))
             for i, den in enumerate(dens):
                 if den != scale:
                     nums[i] *= scale // den
-            columns.append(int_array(nums, scale))
+            columns.append(int_column(nums, scale))
             scales.append(scale)
         return cls(tuple(columns), tuple(scales), tag)
 
@@ -153,14 +171,15 @@ class Columns:
         return len(self.columns)
 
     def rows(self) -> list[tuple[Fraction, ...]]:
-        fractions = (map(Fraction, c.tolist(), repeat(s)) for c, s in zip(self.columns, self.scales))
+        fractions = (map(Fraction, int_list(c), repeat(s)) for c, s in zip(self.columns, self.scales))
         return list(zip(*fractions))
 
     def head(self, n: int) -> "Columns":
-        """The first n points, of the same class and sharing this batch's arrays."""
+        """The first n points, of the same class: this batch itself for n = count,
+        else arrays are shared and lists copied."""
         if not 0 <= n <= self.count:
             raise ValidationError(f"prefix of {n} points from a set of {self.count}")
-        return replace(self, columns=tuple(c[:n] for c in self.columns))
+        return self if n == self.count else replace(self, columns=tuple(c[:n] for c in self.columns))
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -213,8 +232,8 @@ def digitsum_filtered_index(k: int) -> int:
 _CHUNK = 1 << 12
 
 
-def _digit_column(indices, q: int, m: int, matrix) -> np.ndarray:
-    """Numerators over q^L of the digit vectors of the indices.
+def _digit_column(indices, q: int, m: int, matrix):
+    """The column of numerators over q^L of the digit vectors of the indices.
 
     The first m base-q digits of n (least significant first) are mapped
     through ``matrix`` (L rows of m entries over Z_q) and read back as
@@ -240,10 +259,10 @@ def _digit_column(indices, q: int, m: int, matrix) -> np.ndarray:
                 terms = (digits[c] if e == 1 else e * digits[c] for c, e in enumerate(matrix[r]) if e)
                 word = word * q + sum(terms) % q
             out[s : s + _CHUNK] = out[s : s + _CHUNK] * q ** min(g, depth - r0) + word
-    return out
+    return int_column(out, q**depth)
 
 
-def _hankel_column(indices, f: LaurentSeries, depth: int) -> np.ndarray:
+def _hankel_column(indices, f: LaurentSeries, depth: int):
     """Numerators over q^depth of {n(x) f(x)} at x = q: output digit r is
     sum_c n_c a_(r+c+1), the Hankel matrix of the coefficients a_k of f."""
     q = f.q
@@ -300,7 +319,7 @@ class Kronecker:
                 check_index_budget(a, indices[-1])
         w = self.width
         mask = (1 << w) - 1
-        columns = tuple(int_array([(n * a.frac_bits) & mask for n in indices], 1 << w) for a in self.alphas)
+        columns = tuple(int_column([(n * a.frac_bits) & mask for n in indices], 1 << w) for a in self.alphas)
         return Columns(columns, (1 << w,) * self.dim, ReprTag("fixedpoint", w))
 
 
@@ -428,7 +447,8 @@ class Lattice:
     def batch(self, indices) -> Columns:
         _check_range(indices, self.size, "lattice index")
         idx = int_array(indices, self.size * self.size)
-        return Columns(tuple(idx * g % self.size for g in self.gens), (self.size,) * self.dim, EXACT)
+        columns = tuple(int_column(idx * g % self.size, self.size) for g in self.gens)
+        return Columns(columns, (self.size,) * self.dim, EXACT)
 
 
 @dataclass(frozen=True)
@@ -499,7 +519,7 @@ class Hammersley:
     def batch(self, indices) -> Columns:
         _check_range(indices, self.size, "index")
         tail = Halton(self.bases).batch(indices)
-        first = int_array(indices, self.size)
+        first = int_column(indices, self.size)
         return Columns((first,) + tail.columns, (self.size,) + tail.scales, EXACT)
 
 
@@ -525,13 +545,31 @@ class PowerRatio:
         return 1
 
     def batch(self, indices) -> Columns:
-        """Numerators ``(p^n mod r^n) r^(m - n)`` over ``r^m``, m the last index."""
+        """Numerators ``(p^n mod r^n) r^(m - n)`` over ``r^m``, m the last index.
+
+        They come from one recurrence: ``p^n r^(m - n) = F_n r^m + y_n`` with
+        y_n the numerator, and multiplying by p/r steps n to n + 1.  A step
+        multiplies and divides by p and r and takes one quotient by r^m that
+        is at most p, so it costs time linear in the size of the numbers,
+        where a modular power per index does not.  Every n from the first
+        index to m is stepped through and the requested ones are kept.
+        """
         if indices and indices[0] < 0:
             raise ValidationError("index must be nonnegative")
+        p, r = self.p, self.r
         m = indices[-1] if indices else 0
-        r = self.r
-        column = int_array([pow(self.p, n, r**n) * r ** (m - n) for n in indices], r**m)
-        return Columns((column,), (r**m,), EXACT)
+        scale, column = r**m, []
+        if indices:
+            n = indices[0]
+            f, y = divmod(p**n * r ** (m - n), scale)
+            shift = r ** max(m - 1, 0)
+            for want in indices:
+                while n < want:  # F_n p = a r + b; r divides y_n since n < m
+                    a, b = divmod(f * p, r)
+                    carry, y = divmod(b * shift + y * p // r, scale)
+                    f, n = a + carry, n + 1
+                column.append(y)
+        return Columns((int_column(column, scale),), (scale,), EXACT)
 
 
 @dataclass(frozen=True)
@@ -583,7 +621,7 @@ def _coerce(batch: Columns, width: int) -> Columns:
     if batch.tag.kind == "fixedpoint":
         return batch
     one = 1 << width
-    columns = tuple(int_array([(v << width) // den for v in col.tolist()], one)
+    columns = tuple(int_column([(v << width) // den for v in int_list(col)], one)
                     for col, den in zip(batch.columns, batch.scales))
     return Columns(columns, (one,) * len(columns), ReprTag("fixedpoint", width, coerced=True))
 

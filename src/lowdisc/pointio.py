@@ -61,6 +61,7 @@ from .generators import (
     RationalNet,
     ReprTag,
     SequenceSpec,
+    int_list,
 )
 
 __all__ = [
@@ -329,7 +330,7 @@ def write_points(points: PointSet, fh, decimal: int | None = None) -> None:
     fh.write(point_header(points, decimal))
     for r0 in range(0, points.count, 1 << 12):  # Python ints for one slice of rows at a time
         texts = [
-            map(_format_ratio, c[r0 : r0 + (1 << 12)].tolist(), repeat(s), repeat(decimal))
+            map(_format_ratio, int_list(c[r0 : r0 + (1 << 12)]), repeat(s), repeat(decimal))
             for c, s in zip(points.columns, points.scales)
         ]
         fh.writelines("\t".join(row) + "\n" for row in zip(*texts))

@@ -48,6 +48,7 @@ from lowdisc.generators import (
     RationalNet,
     ReprTag,
     digitsum_filtered_index,
+    int_list,
     radical_inverse,
     stream,
 )
@@ -170,7 +171,7 @@ def test_batch_exact_past_int64():
     far = Halton((2, 3))
     for spec, start in ((deep, 1000), (FAMILIES["digital-past-int64"], 3), (deep_dk, 1000), (far, 2**70)):
         ps = stream(spec, start, 12)
-        assert all(c.dtype == object for c in ps.columns)
+        assert all(isinstance(c, list) and all(type(v) is int for v in c) for c in ps.columns)
         assert _as_refs(ps) == [reference_point(spec, n) for n in range(start, start + 12)]
 
 
@@ -190,12 +191,31 @@ def test_digit_column_matches_mat_vec_reference_across_chunks(count):
     checked = {*range(0, count, 97), *(n for e in edges for n in range(e - 2, e + 2) if 0 <= n < count)}
     for name, mat in matrices.items():
         column = generators._digit_column(range(count), q, m, [mat.row_prefix(r, m) for r in range(depth)])
-        assert len(column) == count and column.dtype == object
+        assert len(column) == count and isinstance(column, list)
         for n in sorted(checked):
             want = 0
             for v in mat_vec_mod_q(mat, digits_of(n, q), depth):
                 want = want * q + v
             assert column[n] == want, (name, n)
+
+
+def power_ratio_numerators(p: int, r: int, indices) -> list[int]:
+    """``(p^n mod r^n) r^(m - n)`` per index, one modular power each."""
+    m = indices[-1]
+    return [pow(p, n, r**n) * r ** (m - n) for n in indices]
+
+
+@pytest.mark.parametrize("p,r", [(3, 2), (5, 3), (7, 4), (10, 7), (1000, 3)])
+def test_power_ratio_recurrence_matches_modular_powers(p, r):
+    spec = PowerRatio(p, r)
+    cases = [range(0, 70), range(1, 2), range(23, 90), (0,), (1,), (57,), [2, 3, 9, 10, 31], [0, 5, 6, 7, 64]]
+    for indices in cases:
+        batch = spec.batch(indices)
+        assert batch.scales == (r ** indices[-1],)
+        assert int_list(batch.columns[0]) == power_ratio_numerators(p, r, list(indices))
+    for ks in (range(0, 40), range(9, 33), [4]):
+        batch = DigitSumFiltered(spec).batch(ks)
+        assert int_list(batch.columns[0]) == power_ratio_numerators(p, r, [digitsum_filtered_index(k) for k in ks])
 
 
 def test_columns_check_their_shape():
@@ -207,6 +227,7 @@ def test_columns_check_their_shape():
     assert (batch.count, batch.dim, batch.scales) == (2, 2, (6, 4))
     assert batch.rows() == [(Fraction(1, 2), Fraction(0)), (Fraction(1, 3), Fraction(3, 4))]
     assert batch.head(1).rows() == [(Fraction(1, 2), Fraction(0))]
+    assert batch.head(2) is batch  # a whole-batch prefix copies no list column
 
 
 def test_hybrid_coercion_flags_and_mode():

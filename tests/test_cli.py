@@ -121,6 +121,9 @@ def test_disc_bracket_and_budget_exit_codes(tmp_path):
     assert code == 3 and "budget" in err.lower()
     code, _, err = run_cli("disc", "--in", str(pts), "--algo", "bracket", "--k", "32", "--budget", "100")
     assert code == 3 and "bracket lattice has 1089 cells" in err
+    # auto takes --k as the resolution of the bracket it may choose; 64 points in 2D run exact
+    code, out, _ = run_cli("disc", "--in", str(pts), "--k", "2")
+    assert code == 0 and json.loads(out)["mode"] == "exact"
 
 
 @pytest.mark.parametrize(
@@ -165,6 +168,7 @@ def test_validation_exit_codes(tmp_path):
 
 
 PLAN = "spec = halton:bases=2\nschedule = 16,32\n"
+POINTS = "# spec=halton:bases=2|3 dim=2\n0\t0\n1/2\t1/3\n"
 DIGITAL = "digital:q=3,L=4,matrices="
 
 
@@ -195,13 +199,20 @@ DIGITAL = "digital:q=3,L=4,matrices="
         (("experiment", "--plan", "{file}", "--width", "64"), PLAN, "--width"),
         (("experiment", "--plan", "{file}"), PLAN + "algo = foo\n", "unknown algorithm 'foo'"),
         (("experiment", "--plan", "{file}"), PLAN + "algo = bracket\nk = 1\n", "bracket resolution"),
+        (("experiment", "--plan", "{file}"), PLAN + "alg = bracket\n", "input: unknown plan key 'alg'"),
+        (("disc", "--in", "{file}", "--algo", "2d", "--k", "1"), POINTS, "--algo 2d runs no bracket"),
+        (("disc", "--in", "{file}", "--algo", "grid", "--k", "64"), POINTS, "--algo grid runs no bracket"),
+        (("disc", "--in", "{file}", "--algo", "bracket", "--k", "1"), POINTS, "bracket resolution must be >= 2"),
+        (("disc", "--in", "{file}", "--k", "1"), POINTS, "bracket resolution must be >= 2"),
+        (("disc", "--in", "{file}", "--kind", "extreme", "--k", "8"), POINTS, "extreme kind has no bracket"),
         (("scan-lattice", "--N", "5", "--d", "2", "--mode", "exhaustive", "--count", "3"), None, "count"),
         (("scan-lattice", "--N", "5", "--d", "2", "--seed", "3"), None, "seed"),
     ],
     ids=["rational", "gens", "schedule", "plan-k", "plan-p", "plan-schedule", "fit-no-N", "fit-N",
          "fit-value", "fit-short-row", "random-size", "finiterandom-seed", "finiterandom-rho", "rows",
          "cfrac-bl", "op12-width-0", "op12-two-alphas", "halton-alpha-width", "op9-alpha", "plan-alpha",
-         "plan-width", "plan-algo", "plan-k-1", "exhaustive-count", "exhaustive-seed"],
+         "plan-width", "plan-algo", "plan-k-1", "plan-unknown-key", "disc-2d-k", "disc-grid-k",
+         "disc-bracket-k-1", "disc-auto-k-1", "disc-extreme-k", "exhaustive-count", "exhaustive-seed"],
 )
 def test_malformed_numbers_exit_2(argv, text, names, tmp_path):
     path = tmp_path / "input"
@@ -395,3 +406,33 @@ def test_benchmark_tracer_still_wraps_the_program(tmp_path):
     assert metrics["discrepancy.star_disc_exact.corners"] == 17 * 17
     assert metrics["pointio.read_points.rows"] == 16
     assert metrics["experiments.rows"] == 2
+
+
+@pytest.fixture(scope="module")
+def gate():
+    """perfbench/gate.py, loaded read-only by path (its dataclasses need it
+    in ``sys.modules`` while it runs)."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gate.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gate", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[spec.name]
+
+
+@pytest.mark.parametrize("name", ["c1-counterexample", "halton-2-3", "hammersley-lattice",
+                                  "op12-digitsum-alpha", "op9-vdc-sqrt2", "power-3-2"])
+def test_preset_tables_pass_the_benchmark_gate(gate, name):
+    # the benchmark's exact-value gate, run in process: a changed exact row fails here too
+    ref = gate.References().cli[f"experiment --preset {name}"]
+    code, out, err = run_cli("experiment", "--preset", name)
+    assert (code, err) == (ref["exit"], ref["stderr"])
+    verdict = gate._check_table(ref["stdout"], out)
+    assert verdict.status == "ok", verdict.message

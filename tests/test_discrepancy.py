@@ -21,6 +21,7 @@ from lowdisc.discrepancy import (
     star_disc_exact,
 )
 from lowdisc.errors import BudgetError, ValidationError
+from lowdisc.experiments import preset
 from lowdisc.generators import Columns, Halton, Hammersley, Hybrid, Kronecker, Lattice, ReprTag, stream
 from lowdisc.algebra import fixedpoint_sqrt, int_array
 
@@ -205,6 +206,46 @@ def test_sweep_python_fallback_matches_numpy_path():
         assert star_disc_2d_sweep(rows_big).value == fast
     big = [(Fraction(1, 2**40), Fraction(1, 3**25)), (Fraction(1, 2), Fraction(1, 3))]
     assert star_disc_2d_sweep(big).value == star_disc_exact(big).value
+
+
+def as_object_arrays(points: Columns) -> Columns:
+    """The same points with every column held in an object array."""
+    import numpy as np
+
+    return Columns(tuple(np.array(c, dtype=object) for c in points.columns), points.scales, points.tag)
+
+
+def test_kernels_read_list_columns():
+    """Columns over scales past 2^63 are lists; every kernel in d >= 2 agrees
+    with the oracle on them and with the same columns held in arrays."""
+    rng = random.Random(53)
+    for _ in range(30):
+        d, n = rng.choice((2, 2, 3)), rng.randrange(1, 9)
+        scales = tuple(rng.choice((2**70, 3**45, 2**192)) for _ in range(d))
+        columns = []
+        for s in scales:
+            pool = [rng.randrange(s) for _ in range(rng.randrange(1, 9))] + [0, s // 2]
+            columns.append([rng.choice(pool) for _ in range(n)])
+        points = Columns(tuple(columns), scales, ReprTag("exact"))
+        arrays = as_object_arrays(points)
+        exact = star_disc_exact(points)
+        assert exact.value == brute_force_oracle(points) and exact == star_disc_exact(arrays)
+        k = rng.choice((2, 5, 8))
+        assert star_disc_bracket(points, k) == star_disc_bracket(arrays, k)
+        assert star_disc_bracket(points, k).lo == lattice_max(points.rows(), k)
+        if d == 2:
+            assert star_disc_2d_sweep(points) == exact
+            extreme = extreme_disc_grid(points)
+            assert extreme.value == brute_force_oracle(points, "extreme") and extreme == extreme_disc_grid(arrays)
+
+
+def test_op9_prefixes_from_lists_and_arrays_agree():
+    points = stream(preset("op9-vdc-sqrt2").spec, 0, 1024)
+    assert all(isinstance(c, list) for c in points.columns)
+    arrays = as_object_arrays(points)
+    for n in (16, 128, 1024):
+        assert star_disc_2d_sweep(points.head(n)) == star_disc_2d_sweep(arrays.head(n))
+        assert star_disc_bracket(points.head(n), 64) == star_disc_bracket(arrays.head(n), 64)
 
 
 # -- brackets -----------------------------------------------------------------------

@@ -33,6 +33,7 @@ from lowdisc.generators import (
     Kronecker,
     Lattice,
     PowerRatio,
+    int_list,
     lattice_point_set,
     stream,
 )
@@ -64,6 +65,15 @@ def test_plan_from_settings_defaults():
     plan = plan_from_settings({"spec": "halton:bases=2", "schedule": "16, 32"}, "f")
     assert plan == ExperimentPlan(spec=plan.spec, schedule=(16, 32))
     assert plan.bracket_k == DEFAULT_BRACKET_K == 512
+
+
+def test_plan_from_settings_refuses_unknown_keys():
+    settings = {"spec": "halton:bases=2", "schedule": "16, 32"}
+    for key in ("alg", "K", "schedules"):
+        with pytest.raises(ValidationError, match=f"^plan.cfg: unknown plan key '{key}'"):
+            plan_from_settings({**settings, key: "bracket"}, "plan.cfg")
+    plan = plan_from_settings({**settings, "kind": "star", "algo": "bracket", "k": "8", "p": "2"}, "f")
+    assert (plan.algo, plan.bracket_k, plan.norm_exponent) == ("bracket", 8, 2.0)
 
 
 def test_plan_validation():
@@ -328,7 +338,7 @@ def test_preset_specs_generate_the_objects_points(name):
     n = min(preset(name).schedule[-1], 2048)
     got, want = stream(preset(name).spec, 0, n), stream(PRESET_OBJECTS[name], 0, n)
     assert got.tag == want.tag and got.scales == want.scales
-    assert [c.tolist() for c in got.columns] == [c.tolist() for c in want.columns]
+    assert [int_list(c) for c in got.columns] == [int_list(c) for c in want.columns]
 
 
 def test_preset_fields_are_checked_before_they_are_filled():

@@ -151,6 +151,29 @@ def test_array_free_commands_do_not_load_numpy(argv, tmp_path):
     assert not result["numpy"]
 
 
+# Scales past 2^63 hold lists of Python ints, so 1D runs on them build no array
+# (power-3-2 is over 2^(N-1), so its schedule needs an N past 64).
+WIDE_1D = [
+    ["experiment", "--preset", "power-3-2", "--schedule", "16,32,128"],
+    ["experiment", "--preset", "op12-digitsum-alpha", "--schedule", "16,32,128"],
+]
+
+
+@pytest.mark.parametrize("argv", WIDE_1D, ids=lambda a: a[2])
+def test_wide_1d_presets_do_not_load_numpy(argv, tmp_path):
+    result = probe(argv, tmp_path)
+    assert result["code"] == 0
+    assert not result["numpy"]
+
+
+def test_wide_1d_gen_and_disc_do_not_load_numpy(tmp_path):
+    gen = probe(["gen", "--spec", "kronecker:width=192,alphas=sqrt2", "--count", "300", "--out", "k.tsv"], tmp_path)
+    disc = probe(["disc", "--in", "k.tsv", "--out", "d.json"], tmp_path)
+    assert (gen["code"], disc["code"]) == (0, 0)
+    assert not gen["numpy"] and not disc["numpy"]
+    assert json.loads((tmp_path / "d.json").read_text())["mode"] == "exact-represented"
+
+
 def test_array_commands_still_load_numpy(tmp_path):
     # the probe sees numpy where it is used, so the assertions above are not vacuous
     result = probe(["gen", "--spec", "halton:bases=2|3", "--count", "4"], tmp_path)

@@ -9,7 +9,9 @@ per-point big-int temporaries would cost.
 
 from __future__ import annotations
 
+import io
 import tracemalloc
+from contextlib import redirect_stdout
 
 from lowdisc import cli
 from lowdisc.discrepancy import star_disc_bracket
@@ -45,6 +47,19 @@ def test_gen_streams_its_rows_to_the_file(tmp_path):
     assert code == 0
     # the 2^15 big-int numerators fit; a copy of the whole text does not
     assert peak < path.stat().st_size
+
+
+def test_disc_of_a_wide_1d_file_holds_one_list_per_axis(tmp_path):
+    small, path = tmp_path / "k64.tsv", tmp_path / "kron192.tsv"
+    for target, count in ((small, 64), (path, 2**15)):
+        argv = ["gen", "--spec", "kronecker:width=192,alphas=sqrt2", "--count", str(count), "--out", str(target)]
+        assert cli.main(argv) == 0
+    with redirect_stdout(io.StringIO()):
+        cli.main(["disc", "--in", str(small)])  # first-call set-up stays out of the measurement
+        code, peak = traced_peak(lambda: cli.main(["disc", "--in", str(path)]))
+    assert code == 0
+    # the read numerators as Python ints and their sort; object arrays took 2.54 MB
+    assert peak < 2.54 * MB
 
 
 def test_bracket_of_wide_columns_builds_no_per_point_ints():
