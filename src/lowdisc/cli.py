@@ -87,24 +87,16 @@ def _cmd_gen(args) -> None:
 
 
 def _cmd_disc(args) -> None:
-    from .discrepancy import DEFAULT_BRACKET_K, DEFAULT_WORK_BUDGET, compute_discrepancy
+    from .discrepancy import DEFAULT_WORK_BUDGET, compute_discrepancy
     from .pointio import read_points
 
-    if args.k is not None:
-        if args.algo not in ("auto", "bracket"):
-            raise ValidationError(f"--k sets a bracket resolution; --algo {args.algo} runs no bracket")
-        if args.kind == "extreme":
-            raise ValidationError("--k sets a bracket resolution; the extreme kind has no bracket")
-        if args.k < 2:
-            raise ValidationError("bracket resolution must be >= 2")
     if args.infile == "-":
         data = read_points(sys.stdin)
     else:
         with open(args.infile, encoding="utf-8") as fh:
             data = read_points(fh)
     budget = DEFAULT_WORK_BUDGET if args.budget is None else args.budget
-    k = DEFAULT_BRACKET_K if args.k is None else args.k
-    result = compute_discrepancy(data.columns, kind=args.kind, algo=args.algo, k=k, work_budget=budget)
+    result = compute_discrepancy(data.columns, kind=args.kind, algo=args.algo, k=args.k, work_budget=budget)
     _emit(result.to_json(decimal=args.decimal) + "\n", args.out)
 
 
@@ -147,11 +139,10 @@ def _cmd_cfrac(args) -> None:
 def _cmd_quotient_scan(args) -> None:
     from . import diophantine
 
+    if args.to < 2:
+        raise ValidationError(f"--to must be >= 2, got {args.to}")
     scan = getattr(diophantine, args.scan)
-    rows = []
-    for n in range(2, args.to + 1):
-        stat, witness = scan(n)
-        rows.append((n, stat, witness))
+    rows = [(n, *scan(n)) for n in range(2, args.to + 1)]
     _emit(diophantine.scan_report_csv(args.header, rows), args.out)
 
 
@@ -261,10 +252,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("star", "extreme"), default="star")
     p.add_argument("--algo", choices=("auto", "1d", "2d", "grid", "bracket"), default="auto")
     p.add_argument("--k", type=int, default=None,
-                   help="bracket resolution (>= 2) of the star kind, for --algo bracket or auto;"
+                   help="bracket resolution (>= 2) of the star kind, for --algo bracket or auto in d >= 2;"
                         " auto may lower it in d >= 3 to fit its cell cap")
     p.add_argument("--budget", type=int, default=None,
-                   help="most grid cells a kernel may visit (corners, corner pairs or lattice points)")
+                   help="most grid cells (>= 1) a kernel may visit (corners, corner pairs or lattice points)")
     p.add_argument("--out")
     p.add_argument("--decimal", type=int, default=None)
     p.set_defaults(func=_cmd_disc)
@@ -288,13 +279,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_cfrac)
 
     p = sub.add_parser("zaremba", help="minimal largest partial quotient per modulus")
-    p.add_argument("--to", type=int, required=True)
+    p.add_argument("--to", type=int, required=True, help="largest modulus (>= 2)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_quotient_scan, scan="zaremba_scan",
                    header=("N", "min_max_quotient", "witness"))
 
     p = sub.add_parser("moser", help="minimal partial-quotient sum per modulus")
-    p.add_argument("--to", type=int, required=True)
+    p.add_argument("--to", type=int, required=True, help="largest modulus (>= 2)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_quotient_scan, scan="moser_scan",
                    header=("N", "min_quotient_sum", "witness"))

@@ -69,6 +69,7 @@ if TYPE_CHECKING:  # numpy is imported inside the functions that build arrays
 __all__ = [
     "DiscrepancyResult",
     "brute_force_oracle",
+    "check_request",
     "compute_discrepancy",
     "extreme_disc_1d",
     "extreme_disc_grid",
@@ -558,45 +559,63 @@ def brute_force_oracle(points, kind: str = "star") -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def compute_discrepancy(
-    points,
-    kind: str = "star",
-    algo: str = "auto",
-    k: int = DEFAULT_BRACKET_K,
-    *,
-    work_budget: int = DEFAULT_WORK_BUDGET,
-) -> DiscrepancyResult:
-    """Route a point set to a discrepancy algorithm.
+def check_request(dim: int, kind: str = "star", algo: str = "auto", k: int | None = None,
+                  work_budget: int = DEFAULT_WORK_BUDGET) -> None:
+    """Refuse, with :class:`~lowdisc.errors.ValidationError`, a request that
+    :func:`compute_discrepancy` could not run as asked on ``dim``-dimensional
+    points: an unknown kind or algorithm, a star-only algorithm for the
+    extreme kind, a work budget below 1, or a bracket resolution ``k`` that
+    no bracket would use (for the extreme kind, an algorithm other than
+    ``auto`` or ``bracket``, or ``auto`` in d = 1, where it runs a closed
+    form) or that is below 2.  ``k = None`` means ``DEFAULT_BRACKET_K``."""
+    if kind not in ("star", "extreme"):
+        raise ValidationError(f"unknown discrepancy kind {kind!r}")
+    if algo not in ALGORITHMS:
+        raise ValidationError(f"unknown algorithm {algo!r}; available: {', '.join(ALGORITHMS)}")
+    if kind == "extreme" and algo in ("2d", "bracket"):
+        raise ValidationError(f"algo {algo!r} computes the star kind only; the extreme kind has no bracket")
+    if work_budget < 1:
+        raise ValidationError(f"work budget must be >= 1, got {work_budget}")
+    if k is None:
+        return
+    if kind == "extreme":
+        raise ValidationError("k sets a bracket resolution; the extreme kind has no bracket")
+    if algo not in ("auto", "bracket"):
+        raise ValidationError(f"k sets a bracket resolution; algo {algo!r} runs no bracket")
+    if algo == "auto" and dim == 1:
+        raise ValidationError("k sets a bracket resolution; auto runs the exact closed form in d = 1"
+                              " (algo 'bracket' brackets there)")
+    if k < 2:
+        raise ValidationError("bracket resolution must be >= 2")
+
+
+def compute_discrepancy(points, kind: str = "star", algo: str = "auto", k: int | None = None, *,
+                        work_budget: int = DEFAULT_WORK_BUDGET) -> DiscrepancyResult:
+    """Route a point set to a discrepancy algorithm, once
+    :func:`check_request` has accepted the request for its dimension.
 
     ``auto`` uses the 1D closed forms in d = 1.  In d >= 2 it runs the exact
     kernel while N^d (N^2d for the extreme kind) is at most
     ``AUTO_EXACT_CAP``; beyond that it brackets the star kind at the largest
-    resolution up to ``k`` whose lattice of (k + 1)^d corners fits the same
-    cap, and refuses the extreme kind, which has no bracket.  Every kernel,
-    chosen or explicit, refuses a grid of more than ``work_budget`` cells
-    with :class:`~lowdisc.errors.BudgetError` instead of degrading.
+    resolution up to ``k`` (``DEFAULT_BRACKET_K`` when None) whose lattice
+    of (k + 1)^d corners fits the same cap, and refuses the extreme kind,
+    which has no bracket.  Every kernel, chosen or explicit, refuses a grid
+    of more than ``work_budget`` cells with
+    :class:`~lowdisc.errors.BudgetError` instead of degrading.
     """
     points = _as_columns(points)
     n, d = points.count, points.dim
-    if n == 0:
-        raise ValidationError("empty point set")
-    if kind not in ("star", "extreme"):
-        raise ValidationError(f"unknown discrepancy kind {kind!r}")
-    if algo not in ALGORITHMS:
-        raise ValidationError(f"unknown algorithm {algo!r}")
+    check_request(d, kind, algo, k, work_budget)
     if algo == "1d" or (algo == "auto" and d == 1):
         return (star_disc_1d if kind == "star" else extreme_disc_1d)(points)
 
     if kind == "extreme":
-        if algo == "bracket":
-            raise ValidationError("no bracketed variant of the extreme discrepancy")
-        if algo == "2d":
-            raise ValidationError("the 2D sweep computes the star kind only")
         if algo == "auto":
             grid = "extreme grid estimate N^2d (no bracket exists; pass algo='grid')"
             _check_cells(grid, n ** (2 * d), AUTO_EXACT_CAP)
         return extreme_disc_grid(points, work_budget=work_budget)
 
+    k = DEFAULT_BRACKET_K if k is None else k
     if algo == "auto":
         if n**d <= AUTO_EXACT_CAP:
             algo = "2d" if d == 2 else "grid"

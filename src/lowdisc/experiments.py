@@ -22,10 +22,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .discrepancy import ALGORITHMS, DEFAULT_BRACKET_K, DEFAULT_WORK_BUDGET, DiscrepancyResult, compute_discrepancy
+from .discrepancy import DEFAULT_WORK_BUDGET, DiscrepancyResult, check_request, compute_discrepancy
 from .errors import BudgetError, LowdiscError, ValidationError
 from .fit import FitResult, fit_exponent
 from .generators import (
@@ -78,11 +78,15 @@ def ln_bounds(n: int) -> tuple[Fraction, Fraction]:
 
 @dataclass(frozen=True)
 class ExperimentPlan:
+    """The discrepancy of the first N points of ``spec`` for each N of
+    ``schedule``.  The request of every row (``bracket_k`` None for the
+    default) is checked before any row runs, by :func:`check_request`."""
+
     spec: SequenceSpec
     schedule: tuple[int, ...]
     kind: str = "star"
     algo: str = "auto"
-    bracket_k: int = DEFAULT_BRACKET_K
+    bracket_k: int | None = None
     norm_exponent: float = 1.0
 
     def __post_init__(self) -> None:
@@ -94,12 +98,7 @@ class ExperimentPlan:
             raise ValidationError("schedule must be strictly increasing")
         if self.norm_exponent < 0:
             raise ValidationError("normalization exponent must be >= 0")
-        if self.kind not in ("star", "extreme"):
-            raise ValidationError(f"unknown discrepancy kind {self.kind!r}")
-        if self.algo not in ALGORITHMS:
-            raise ValidationError(f"unknown algorithm {self.algo!r}; available: {', '.join(ALGORITHMS)}")
-        if self.bracket_k < 2:
-            raise ValidationError("bracket resolution must be >= 2")
+        check_request(self.spec.dim, self.kind, self.algo, self.bracket_k)
 
 
 # The keys of a plan file.
@@ -334,20 +333,13 @@ def preset_names() -> tuple[str, ...]:
     return tuple(sorted(_PRESETS))
 
 
-def preset(
-    name: str,
-    *,
-    alpha: str | None = None,
-    width: int | None = None,
-    schedule: tuple[int, ...] | None = None,
-    bracket_k: int | None = None,
-) -> ExperimentPlan:
+def preset(name: str, *, alpha: str | None = None, width: int | None = None) -> ExperimentPlan:
     """A ready-made plan for one of the named study objects.
 
     ``alpha`` (one alpha token) and ``width`` (bits, >= 1) fill the spec
-    fields of the presets that have them, and are refused by the others;
-    ``schedule`` and ``bracket_k`` override the plan without changing the
-    sequence itself.
+    fields of the presets that have them, and are refused by the others.  A
+    schedule or bracket resolution of one's own goes on the returned plan
+    with :func:`dataclasses.replace`, which checks it as any plan is checked.
     """
     if name not in _PRESETS:
         raise ValidationError(
@@ -363,9 +355,4 @@ def preset(
         raise ValidationError(f"width must be >= 1, got {fields['width']}")
     if "alpha" in fields:
         parse_alpha(fields["alpha"], fields["width"])  # a token that parses cannot break the spec grammar
-    plan = plan_from_settings(dict(_PRESETS[name], spec=_PRESETS[name]["spec"].format(**fields)), name)
-    if schedule is not None:
-        plan = replace(plan, schedule=tuple(schedule))
-    if bracket_k is not None:
-        plan = replace(plan, bracket_k=bracket_k)
-    return plan
+    return plan_from_settings(dict(_PRESETS[name], spec=_PRESETS[name]["spec"].format(**fields)), name)

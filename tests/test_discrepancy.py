@@ -447,6 +447,30 @@ def test_compute_dispatcher_routes():
     assert brute_force_oracle(rows2, "extreme") == 1
 
 
+def test_requests_are_checked_once_the_dimension_is_known():
+    eq = [(Fraction(i, 4),) for i in range(4)]
+    rows2 = [(Fraction(1, 2), Fraction(1, 2))]
+    refused = [
+        (rows2, {"algo": "grid", "k": 1}, "algo 'grid' runs no bracket"),
+        (rows2, {"algo": "2d", "k": 8}, "algo '2d' runs no bracket"),
+        (eq, {"k": 8}, "auto runs the exact closed form in d = 1"),
+        (eq, {"algo": "1d", "k": 8}, "algo '1d' runs no bracket"),
+        (rows2, {"kind": "extreme", "k": 8}, "the extreme kind has no bracket"),
+        (rows2, {"algo": "bracket", "k": 1}, "bracket resolution must be >= 2"),
+        (rows2, {"kind": "weird"}, "unknown discrepancy kind 'weird'"),
+        (rows2, {"work_budget": 0}, "work budget must be >= 1"),
+        (eq, {"work_budget": -5}, "work budget must be >= 1"),
+    ]
+    for points, request, message in refused:
+        with pytest.raises(ValidationError, match=message):
+            compute_discrepancy(points, **request)
+    # an explicit bracket runs in d = 1; auto takes k in d >= 2 and here runs exact
+    assert compute_discrepancy(eq, algo="bracket", k=8).mode == "bracketed"
+    assert compute_discrepancy(rows2, k=2).value == Fraction(3, 4)
+    with pytest.raises(ValidationError, match="empty point set"):
+        compute_discrepancy([], k=8)
+
+
 def test_compute_auto_falls_back_to_bracket(monkeypatch):
     monkeypatch.setattr(discrepancy, "AUTO_EXACT_CAP", 100)
     rng = random.Random(21)

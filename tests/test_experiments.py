@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -64,7 +65,7 @@ def test_ln_bounds_enclose():
 def test_plan_from_settings_defaults():
     plan = plan_from_settings({"spec": "halton:bases=2", "schedule": "16, 32"}, "f")
     assert plan == ExperimentPlan(spec=plan.spec, schedule=(16, 32))
-    assert plan.bracket_k == DEFAULT_BRACKET_K == 512
+    assert plan.bracket_k is None and DEFAULT_BRACKET_K == 512
 
 
 def test_plan_from_settings_refuses_unknown_keys():
@@ -89,6 +90,20 @@ def test_plan_validation():
         ExperimentPlan(spec=Halton((2,)), schedule=(2, 4), algo="foo")
     with pytest.raises(ValidationError, match="bracket resolution"):
         ExperimentPlan(spec=Halton((2,)), schedule=(2, 4), algo="bracket", bracket_k=1)
+
+
+def test_plan_refuses_a_bracket_resolution_no_row_would_use():
+    refused = [
+        ({"algo": "grid", "bracket_k": 8}, "algo 'grid' runs no bracket"),
+        ({"kind": "extreme", "bracket_k": 8}, "the extreme kind has no bracket"),
+        ({"kind": "extreme", "algo": "bracket"}, "computes the star kind only"),
+        ({"bracket_k": 8}, "auto runs the exact closed form in d = 1"),
+    ]
+    for request, message in refused:
+        with pytest.raises(ValidationError, match=message):
+            ExperimentPlan(spec=Halton((2,)), schedule=(2, 4), **request)
+    assert ExperimentPlan(spec=Halton((2,)), schedule=(2, 4), algo="bracket", bracket_k=8).bracket_k == 8
+    assert ExperimentPlan(spec=Halton((2, 3)), schedule=(2, 4), bracket_k=8).bracket_k == 8
 
 
 def test_run_scaling_vdc_fixture():
@@ -125,7 +140,7 @@ def test_run_scaling_records_row_errors_and_continues():
 
 
 def test_scaling_csv_shape_and_determinism():
-    plan = preset("power-3-2", schedule=(16, 32, 64))
+    plan = replace(preset("power-3-2"), schedule=(16, 32, 64))
     rows = run_scaling(plan)
     text1 = scaling_csv(rows)
     text2 = scaling_csv(run_scaling(plan))
@@ -300,10 +315,13 @@ def test_preset_c1_shape():
 
 
 def test_preset_power32_and_overrides():
-    plan = preset("power-3-2", schedule=(16, 32), bracket_k=64)
+    plan = replace(preset("power-3-2"), schedule=(16, 32))
     assert isinstance(plan.spec, PowerRatio)
     assert plan.spec.dim == 1
-    assert plan.schedule == (16, 32) and plan.bracket_k == 64
+    assert plan.schedule == (16, 32) and plan.bracket_k is None
+    with pytest.raises(ValidationError, match="auto runs the exact closed form in d = 1"):
+        replace(plan, bracket_k=64)
+    assert replace(preset("halton-2-3"), bracket_k=64).bracket_k == 64
 
 
 def test_preset_op12_takes_alpha():
