@@ -81,8 +81,8 @@ __all__ = [
 
 # Work is counted in cells of the grid a kernel visits: corners of the
 # critical grid, corner pairs of the extreme grid, lattice corners of a
-# bracket.  ``auto`` runs exact while N^d (N^2d for the extreme kind) is at
-# most AUTO_EXACT_CAP, and brackets at a resolution whose lattice fits it.
+# bracket.  ``auto`` runs the star kind exact while N^d is at most
+# AUTO_EXACT_CAP, and brackets at a resolution whose lattice fits it.
 DEFAULT_WORK_BUDGET = 10**8
 AUTO_EXACT_CAP = 10**7
 
@@ -186,8 +186,7 @@ def _normalize(points) -> tuple[tuple, tuple[int, ...], str]:
         lo, hi = (min(col), max(col)) if isinstance(col, list) else (int(col.min()), int(col.max()))
         if lo < 0 or hi >= scale:
             raise ValidationError(f"coordinate {Fraction(lo if lo < 0 else hi, scale)} outside [0, 1)")
-    tag = batch.tag
-    mode = "exact" if tag.kind == "exact" and not tag.coerced else "exact-represented"
+    mode = "exact" if batch.tag == EXACT else "exact-represented"
     return batch.columns, batch.scales, mode
 
 
@@ -564,16 +563,19 @@ def check_request(dim: int, kind: str = "star", algo: str = "auto", k: int | Non
     """Refuse, with :class:`~lowdisc.errors.ValidationError`, a request that
     :func:`compute_discrepancy` could not run as asked on ``dim``-dimensional
     points: an unknown kind or algorithm, a star-only algorithm for the
-    extreme kind, a work budget below 1, or a bracket resolution ``k`` that
-    no bracket would use (for the extreme kind, an algorithm other than
-    ``auto`` or ``bracket``, or ``auto`` in d = 1, where it runs a closed
-    form) or that is below 2.  ``k = None`` means ``DEFAULT_BRACKET_K``."""
+    extreme kind, ``1d`` or ``2d`` in another dimension, a work budget
+    below 1, or a bracket resolution ``k`` that no bracket would use (for
+    the extreme kind, an algorithm other than ``auto`` or ``bracket``, or
+    ``auto`` in d = 1, where it runs a closed form) or that is below 2.
+    ``k = None`` means ``DEFAULT_BRACKET_K``."""
     if kind not in ("star", "extreme"):
         raise ValidationError(f"unknown discrepancy kind {kind!r}")
     if algo not in ALGORITHMS:
         raise ValidationError(f"unknown algorithm {algo!r}; available: {', '.join(ALGORITHMS)}")
     if kind == "extreme" and algo in ("2d", "bracket"):
         raise ValidationError(f"algo {algo!r} computes the star kind only; the extreme kind has no bracket")
+    if algo in ("1d", "2d") and algo != f"{dim}d":
+        raise ValidationError(f"algo {algo!r} needs {algo[0]}-dimensional points, got d = {dim}")
     if work_budget < 1:
         raise ValidationError(f"work budget must be >= 1, got {work_budget}")
     if k is None:
@@ -594,13 +596,13 @@ def compute_discrepancy(points, kind: str = "star", algo: str = "auto", k: int |
     """Route a point set to a discrepancy algorithm, once
     :func:`check_request` has accepted the request for its dimension.
 
-    ``auto`` uses the 1D closed forms in d = 1.  In d >= 2 it runs the exact
-    kernel while N^d (N^2d for the extreme kind) is at most
-    ``AUTO_EXACT_CAP``; beyond that it brackets the star kind at the largest
-    resolution up to ``k`` (``DEFAULT_BRACKET_K`` when None) whose lattice
-    of (k + 1)^d corners fits the same cap, and refuses the extreme kind,
-    which has no bracket.  Every kernel, chosen or explicit, refuses a grid
-    of more than ``work_budget`` cells with
+    ``auto`` uses the 1D closed forms in d = 1.  In d >= 2 it runs the
+    extreme kind, which has no bracket, on the corner-pair grid, and the
+    star kind on the exact kernel while N^d is at most ``AUTO_EXACT_CAP``;
+    beyond that it brackets the star kind at the largest resolution up to
+    ``k`` (``DEFAULT_BRACKET_K`` when None) whose lattice of (k + 1)^d
+    corners fits the same cap.  Every kernel, chosen or explicit, refuses a
+    grid of more than ``work_budget`` cells with
     :class:`~lowdisc.errors.BudgetError` instead of degrading.
     """
     points = _as_columns(points)
@@ -610,9 +612,6 @@ def compute_discrepancy(points, kind: str = "star", algo: str = "auto", k: int |
         return (star_disc_1d if kind == "star" else extreme_disc_1d)(points)
 
     if kind == "extreme":
-        if algo == "auto":
-            grid = "extreme grid estimate N^2d (no bracket exists; pass algo='grid')"
-            _check_cells(grid, n ** (2 * d), AUTO_EXACT_CAP)
         return extreme_disc_grid(points, work_budget=work_budget)
 
     k = DEFAULT_BRACKET_K if k is None else k

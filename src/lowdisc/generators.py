@@ -88,28 +88,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReprTag:
-    """How the coordinates of a point (set) are represented."""
+    """How the coordinates of a point (set) are represented: exact rationals
+    when ``width`` is None, else fixed point over 2^width; ``coerced`` when
+    they are a rounding of the ideal points (a hybrid that floored an exact
+    half, a point file written in fixed point or decimals)."""
 
-    kind: str  # "exact" | "fixedpoint"
     width: int | None = None
     coerced: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in ("exact", "fixedpoint"):
-            raise ValidationError(f"unknown representation {self.kind!r}")
-        if self.kind == "fixedpoint" and (self.width is None or self.width < 1):
-            raise ValidationError("fixed-point representation needs a width")
-        if self.kind == "exact" and self.width is not None:
-            raise ValidationError("exact representation carries no width")
+        if self.width is not None and self.width < 1:
+            raise ValidationError(f"fixed-point width must be >= 1, got {self.width}")
 
     def as_text(self) -> str:
-        if self.kind == "exact":
+        if self.width is None:
             return "exact"
-        base = f"fixedpoint({self.width})"
-        return base + ("+coerced" if self.coerced else "")
+        return f"fixedpoint({self.width})" + ("+coerced" if self.coerced else "")
 
 
-EXACT = ReprTag("exact")
+EXACT = ReprTag()
 
 
 def int_column(values, bound: int):
@@ -320,7 +317,7 @@ class Kronecker:
         w = self.width
         mask = (1 << w) - 1
         columns = tuple(int_column([(n * a.frac_bits) & mask for n in indices], 1 << w) for a in self.alphas)
-        return Columns(columns, (1 << w,) * self.dim, ReprTag("fixedpoint", w))
+        return Columns(columns, (1 << w,) * self.dim, ReprTag(w))
 
 
 @dataclass(frozen=True)
@@ -618,30 +615,24 @@ SequenceSpec = (
 def _coerce(batch: Columns, width: int) -> Columns:
     """Floor an exact batch onto the grid 2^-width, ``(num << width) // den``;
     fixed-point batches pass."""
-    if batch.tag.kind == "fixedpoint":
+    if batch.tag.width:
         return batch
     one = 1 << width
     columns = tuple(int_column([(v << width) // den for v in int_list(col)], one)
                     for col, den in zip(batch.columns, batch.scales))
-    return Columns(columns, (one,) * len(columns), ReprTag("fixedpoint", width, coerced=True))
+    return Columns(columns, (one,) * len(columns), ReprTag(width, coerced=True))
 
 
 def _combine(a: Columns, b: Columns) -> Columns:
-    """Concatenate two batches, coercing an exact half to fixed point."""
-    coerced = a.tag.coerced or b.tag.coerced
-    if a.tag.kind == b.tag.kind == "exact":
-        tag = ReprTag("exact", coerced=coerced)
-    elif a.tag.kind == b.tag.kind == "fixedpoint":
-        if a.tag.width != b.tag.width:
-            raise ValidationError(
-                f"cannot combine fixed-point halves of widths {a.tag.width} and {b.tag.width}"
-            )
-        tag = ReprTag("fixedpoint", a.tag.width, coerced=coerced)
-    else:
-        width = (a if a.tag.kind == "fixedpoint" else b).tag.width
+    """Concatenate two batches.  Fixed-point halves must share one width; an
+    exact half beside a fixed-point one is coerced to that width, and the
+    result is coerced when either half is."""
+    width = a.tag.width or b.tag.width
+    if b.tag.width not in (None, width):
+        raise ValidationError(f"cannot combine fixed-point halves of widths {a.tag.width} and {b.tag.width}")
+    if width:
         a, b = _coerce(a, width), _coerce(b, width)
-        tag = ReprTag("fixedpoint", width, coerced=True)
-    return Columns(a.columns + b.columns, a.scales + b.scales, tag)
+    return Columns(a.columns + b.columns, a.scales + b.scales, ReprTag(width, a.tag.coerced or b.tag.coerced))
 
 
 # ---------------------------------------------------------------------------

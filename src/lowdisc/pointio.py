@@ -46,7 +46,6 @@ from math import gcd
 from .algebra import FixedPointReal, GenMatrix, LaurentSeries, golden_ratio_frac
 from .errors import ValidationError
 from .generators import (
-    EXACT,
     Columns,
     Digital,
     DigitSumFiltered,
@@ -403,6 +402,5 @@ def read_points(fh) -> ReadPoints:
     count = len(axes[0][0]) if axes else 0
     if "count" in header and _int(header["count"], "count") != count:
         raise ValidationError(f"the header says count={header['count']} but the file has {count} points")
-    represented = header.get("repr", "exact") != "exact" or header.get("format", "frac") != "frac"
-    tag = ReprTag("exact", coerced=True) if represented else EXACT
+    tag = ReprTag(coerced=header.get("repr", "exact") != "exact" or header.get("format", "frac") != "frac")
     return ReadPoints(Columns.from_ratios(((nums, dens) for nums, dens, _ in axes), tag), header)

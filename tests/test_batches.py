@@ -53,7 +53,7 @@ from lowdisc.generators import (
     stream,
 )
 
-EXACT = ReprTag("exact")
+EXACT = ReprTag()
 
 
 class Ref(NamedTuple):
@@ -77,7 +77,7 @@ def reference_point(spec, n: int) -> Ref:
         for a in spec.alphas:
             check_index_budget(a, n)
         coords = tuple(Fraction(n * a.frac_bits % (1 << w), 1 << w) for a in spec.alphas)
-        return Ref(coords, ReprTag("fixedpoint", w))
+        return Ref(coords, ReprTag(w))
     if isinstance(spec, Digital):
         coords = []
         for mat in spec.matrices:
@@ -108,16 +108,16 @@ def reference_point(spec, n: int) -> Ref:
     if isinstance(spec, Hybrid):
         a, b = reference_point(spec.left, n), reference_point(spec.right, n)
         coerced = a.tag.coerced or b.tag.coerced
-        if a.tag.kind == b.tag.kind:
-            return Ref(a.coords + b.coords, ReprTag(a.tag.kind, a.tag.width, coerced))
-        w = (a if a.tag.kind == "fixedpoint" else b).tag.width
+        if a.tag.width == b.tag.width:
+            return Ref(a.coords + b.coords, ReprTag(a.tag.width, coerced))
+        w = a.tag.width or b.tag.width
 
         def fixed(p):
-            if p.tag.kind == "fixedpoint":
+            if p.tag.width:
                 return p.coords
             return tuple(FixedPointReal.from_fraction(c, w).frac_value for c in p.coords)
 
-        return Ref(fixed(a) + fixed(b), ReprTag("fixedpoint", w, coerced=True))
+        return Ref(fixed(a) + fixed(b), ReprTag(w, coerced=True))
     raise TypeError(f"no reference for {spec!r}")
 
 
@@ -149,6 +149,7 @@ FAMILIES = {
     "hybrid-exact-left": Hybrid(Halton((3,)), Kronecker((fixedpoint_sqrt(2, 96),))),
     "hybrid-exact-right": Hybrid(Kronecker((fixedpoint_sqrt(3, 80),)), Halton((3, 5))),
     "hybrid-exact-pair": Hybrid(Digital(3, (ONES3,), 26), Digital(2, (ID2,), 32)),
+    "hybrid-fixed-pair": Hybrid(Kronecker((fixedpoint_sqrt(2, 96),)), Kronecker((golden_ratio_frac(96),))),
     "hybrid-nested": Hybrid(Hybrid(Halton((2,)), Kronecker((fixedpoint_sqrt(5, 64),))), Lattice(40, (7,))),
 }
 
@@ -236,6 +237,17 @@ def test_hybrid_coercion_flags_and_mode():
     assert ps.tag.as_text() == "fixedpoint(96)+coerced"
     assert compute_discrepancy(ps).mode == "exact-represented"
     assert compute_discrepancy(stream(FAMILIES["hybrid-exact-pair"], 0, 9)).mode == "exact"
+
+
+@pytest.mark.parametrize("name,tag,text", [
+    ("hybrid-fixed-pair", ReprTag(96), "fixedpoint(96)"),  # equal widths: nothing is coerced
+    ("hybrid-nested", ReprTag(64, coerced=True), "fixedpoint(64)+coerced"),  # the flag survives nesting
+])
+def test_hybrid_tag_header_and_mode(name, tag, text):
+    ps = stream(FAMILIES[name], 0, 9)
+    assert (ps.tag, ps.tag.as_text(), compute_discrepancy(ps).mode) == (tag, text, "exact-represented")
+    with pytest.raises(ValidationError, match="width must be >= 1, got 0"):
+        ReprTag(0)
 
 
 def _same_error(exc_type, batch_call, point_call) -> None:
@@ -338,7 +350,7 @@ def test_1d_closed_forms_match_oracle_on_point_sets():
             for count in (1, 5, 8):
                 ps = stream(spec, start, count)
                 _check_1d(ps)
-                assert star_disc_1d(ps).mode == ("exact" if ps.tag.kind == "exact" else "exact-represented")
+                assert star_disc_1d(ps).mode == ("exact" if ps.tag.width is None else "exact-represented")
     # a coerced column: base-3 radical inverses floored onto 2^-12
     wide = Hybrid(Halton((3,)), Kronecker((FixedPointReal.from_fraction(Fraction(1, 4), 12),)))
     for start in (0, 4, 9):

@@ -221,6 +221,9 @@ DIGITAL = "digital:q=3,L=4,matrices="
         (("experiment", "--plan", "{file}"), PLAN + "algo = grid\nk = 8\n", "algo 'grid' runs no bracket"),
         (("disc", "--in", "{file}", "--budget", "0"), POINTS, "work budget must be >= 1, got 0"),
         (("disc", "--in", "{file}", "--budget", "-5"), POINTS_1D, "work budget must be >= 1, got -5"),
+        (("experiment", "--plan", "{file}"), "spec = halton:bases=2|3|5\nschedule = 16,32\nalgo = 2d\n",
+         "algo '2d' needs 2-dimensional points, got d = 3"),
+        (("disc", "--in", "{file}", "--algo", "1d"), POINTS, "algo '1d' needs 1-dimensional points, got d = 2"),
         (("zaremba", "--to", "1"), None, "--to must be >= 2, got 1"),
         (("moser", "--to", "1"), None, "--to must be >= 2, got 1"),
         (("moser", "--to", "-3"), None, "--to must be >= 2, got -3"),
@@ -232,8 +235,8 @@ DIGITAL = "digital:q=3,L=4,matrices="
          "cfrac-bl", "op12-width-0", "op12-two-alphas", "halton-alpha-width", "op9-alpha", "plan-alpha",
          "plan-width", "plan-algo", "plan-k-1", "plan-unknown-key", "disc-2d-k", "disc-grid-k",
          "disc-bracket-k-1", "disc-auto-k-1", "disc-extreme-k", "disc-1d-k", "preset-1d-k", "plan-grid-k",
-         "disc-budget-0", "disc-1d-budget", "zaremba-to-1", "moser-to-1", "moser-to-negative",
-         "exhaustive-count", "exhaustive-seed"],
+         "disc-budget-0", "disc-1d-budget", "plan-2d-on-3d", "disc-1d-on-2d", "zaremba-to-1", "moser-to-1",
+         "moser-to-negative", "exhaustive-count", "exhaustive-seed"],
 )
 def test_malformed_numbers_exit_2(argv, text, names, tmp_path):
     path = tmp_path / "input"

@@ -226,7 +226,7 @@ def test_kernels_read_list_columns():
         for s in scales:
             pool = [rng.randrange(s) for _ in range(rng.randrange(1, 9))] + [0, s // 2]
             columns.append([rng.choice(pool) for _ in range(n)])
-        points = Columns(tuple(columns), scales, ReprTag("exact"))
+        points = Columns(tuple(columns), scales, ReprTag())
         arrays = as_object_arrays(points)
         exact = star_disc_exact(points)
         assert exact.value == brute_force_oracle(points) and exact == star_disc_exact(arrays)
@@ -265,7 +265,7 @@ def test_bracket_indices_on_wide_scales_and_lattice_lines():
                 values = [min(max(rng.choice(near), 0), s - 1) if rng.random() < 0.8 else rng.randrange(s)
                           for _ in range(n)]
                 columns.append(int_array(values, s))
-            points = Columns(tuple(columns), scales, ReprTag("exact"))
+            points = Columns(tuple(columns), scales, ReprTag())
             assert star_disc_bracket(points, k).lo == lattice_max(points.rows(), k)
 
 
@@ -386,12 +386,11 @@ def test_auto_2d_switches_to_the_bracket_past_n_3162():
     assert r.mode == "bracketed" and r.resolution == 512
 
 
-def test_auto_extreme_is_exact_while_n_to_the_2d_fits_the_cap(monkeypatch):
-    monkeypatch.setattr(discrepancy, "AUTO_EXACT_CAP", 10**4)
-    points = stream(Halton((2, 3)), 0, 10)
+def test_auto_extreme_runs_the_pair_grid_under_the_budget():
+    points = stream(Halton((2, 3)), 0, 57)  # N^2d = 10556001, past AUTO_EXACT_CAP
     assert compute_discrepancy(points, kind="extreme") == extreme_disc_grid(points)
-    with pytest.raises(BudgetError, match="no bracket"):
-        compute_discrepancy(stream(Halton((2, 3)), 0, 11), kind="extreme")
+    with pytest.raises(BudgetError, match="corner-pair grid"):
+        compute_discrepancy(points, kind="extreme", work_budget=1000)
 
 
 def test_oracle_size_guard():
@@ -460,6 +459,10 @@ def test_requests_are_checked_once_the_dimension_is_known():
         (rows2, {"kind": "weird"}, "unknown discrepancy kind 'weird'"),
         (rows2, {"work_budget": 0}, "work budget must be >= 1"),
         (eq, {"work_budget": -5}, "work budget must be >= 1"),
+        (rows2, {"algo": "1d"}, "algo '1d' needs 1-dimensional points, got d = 2"),
+        (eq, {"algo": "2d"}, "algo '2d' needs 2-dimensional points, got d = 1"),
+        ([(0, 0, 0)], {"algo": "2d"}, "algo '2d' needs 2-dimensional points, got d = 3"),
+        (rows2, {"kind": "extreme", "algo": "1d"}, "algo '1d' needs 1-dimensional points"),
     ]
     for points, request, message in refused:
         with pytest.raises(ValidationError, match=message):

@@ -130,7 +130,7 @@ def test_run_scaling_diagonal_lattice_never_decays():
 
 
 def test_run_scaling_records_row_errors_and_continues():
-    plan = ExperimentPlan(spec=Halton((2, 3)), schedule=(64, 128), kind="extreme")
+    plan = ExperimentPlan(spec=Halton((2, 3)), schedule=(256, 512), kind="extreme")  # pair grids past 1e8
     rows = run_scaling(plan)
     assert all(r.result is None and "budget" in r.error.lower() for r in rows)
     mixed = ExperimentPlan(spec=Hammersley(8, (2,)), schedule=(4, 8, 16))

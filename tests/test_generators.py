@@ -251,7 +251,7 @@ def test_digitsum_filtered_index_matches_brute_force():
 def test_hybrid_concatenation_and_coercion():
     spec = Hybrid(Halton((2,)), Kronecker((fixedpoint_sqrt(2, 128),)))
     p1 = stream(spec, 1, 1)
-    assert p1.tag.kind == "fixedpoint" and p1.tag.width == 128 and p1.tag.coerced
+    assert p1.tag.width == 128 and p1.tag.coerced
     assert p1.rows()[0][0] == Fraction(1, 2)  # dyadic rational coerced exactly
     assert p1.rows()[0][1] == fixedpoint_sqrt(2, 128).frac_value
 
@@ -259,7 +259,7 @@ def test_hybrid_concatenation_and_coercion():
 def test_hybrid_exact_pair_stays_exact():
     spec = Hybrid(Halton((2,)), Halton((3,)))
     p = stream(spec, 5, 1)
-    assert p.tag.kind == "exact" and not p.tag.coerced
+    assert p.tag.width is None and not p.tag.coerced
     assert p.rows()[0] == (Fraction(5, 8), Fraction(7, 9))
 
 
