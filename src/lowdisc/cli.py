@@ -42,8 +42,10 @@ def _read_keyvalue_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValidationError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in out:
+                raise ValidationError(f"{path}:{lineno}: duplicate key {key!r}")
+            out[key] = value
     return out
 
 
@@ -211,10 +213,9 @@ def _cmd_fit(args) -> None:
                 continue
             try:
                 n = int(row["N"])
-                if row.get("value"):
-                    pairs.append((n, float(Fraction(row["value"]))))
-                elif row.get("lo") and row.get("hi"):
-                    pairs.append((n, float((Fraction(row["lo"]) + Fraction(row["hi"])) / 2)))
+                ends = [row["value"]] * 2 if row.get("value") else [row.get("lo"), row.get("hi")]
+                if all(ends):  # an exact value, or the midpoint of a bracket
+                    pairs.append((n, float(sum(map(Fraction, ends)) / 2)))
             except (TypeError, ValueError, ZeroDivisionError):
                 raise ValidationError(
                     f"{args.infile}:{reader.line_num}: N must be an integer and value, lo, hi fractions"

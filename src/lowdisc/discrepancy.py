@@ -40,12 +40,13 @@ columns.  The 1D kinds use exact closed forms on the numerators sorted as
 Python ints, and load no numpy for list columns; the kernels in d >= 2 turn
 a list column into an object array once, at their entry.
 
-Results say what they certify, and the batch's representation tag alone
-decides it: ``exact`` for an exact, uncoerced tag, ``exact-represented``
-for a fixed-point or coerced one (fixed-point carriers, hybrids that
-coerced a half, point files written in fixed point or decimals; the value
-is exact for the represented points), and ``bracketed`` for interval
-enclosures.
+Results say what they certify.  Each is an enclosure ``[lo, hi]``: one
+point when exact, at most d/k wide when bracketed at resolution k.  Its
+``represented`` flag is set, by the batch's representation tag alone, for
+fixed-point or coerced points (fixed-point carriers, hybrids that coerced a
+half, point files written in fixed point or decimals), whose enclosure holds
+for the represented points.  The reported mode follows from the two:
+``exact``, ``exact-represented`` or ``bracketed``.
 """
 
 from __future__ import annotations
@@ -99,60 +100,49 @@ def _check_cells(grid: str, cells: int, budget: int) -> None:
 
 @dataclass(frozen=True)
 class DiscrepancyResult:
-    """A discrepancy value with its certification mode."""
+    """A certified enclosure ``lo <= D <= hi``: exact, with ``lo == hi``, when
+    ``resolution`` is None, else a bracket at most ``dim / resolution`` wide.
+    ``represented`` marks fixed-point or coerced points, for which it holds as
+    represented.  ``mode`` and ``value`` derive from these fields."""
 
     kind: str  # "star" | "extreme"
-    mode: str  # "exact" | "exact-represented" | "bracketed"
     n: int
     dim: int
-    value: Fraction | None = None
-    lo: Fraction | None = None
-    hi: Fraction | None = None
+    lo: Fraction
+    hi: Fraction
     resolution: int | None = None
+    represented: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in ("star", "extreme"):
             raise ValidationError(f"unknown discrepancy kind {self.kind!r}")
-        if self.mode == "bracketed":
-            if self.lo is None or self.hi is None or self.resolution is None:
-                raise ValidationError("bracketed results need lo, hi, and a resolution")
-            if not 0 <= self.lo <= self.hi <= 1:
-                raise ValidationError("bracket outside [0, 1]")
-            if self.hi - self.lo > Fraction(self.dim, self.resolution):
-                raise ValidationError("bracket wider than dim / resolution")
-        elif self.mode in ("exact", "exact-represented"):
-            if self.value is None:
-                raise ValidationError("exact results need a value")
-            if not 0 <= self.value <= 1:
-                raise ValidationError(f"discrepancy {self.value} outside [0, 1]")
-        else:
-            raise ValidationError(f"unknown mode {self.mode!r}")
+        width = 0 if self.resolution is None else Fraction(self.dim, self.resolution)
+        if not 0 <= self.lo <= self.hi <= 1 or self.hi - self.lo > width:
+            raise ValidationError(f"[{self.lo}, {self.hi}] is no enclosure in [0, 1] of width at most {width}")
+
+    @property
+    def mode(self) -> str:
+        if self.resolution is not None:
+            return "bracketed"
+        return "exact-represented" if self.represented else "exact"
+
+    @property
+    def value(self) -> Fraction | None:  # None for a bracket
+        return self.lo if self.resolution is None else None
 
     @property
     def midpoint(self) -> Fraction:
-        if self.mode == "bracketed":
-            return (self.lo + self.hi) / 2
-        return self.value
+        return (self.lo + self.hi) / 2
 
     @property
     def half_width(self) -> Fraction:
-        if self.mode == "bracketed":
-            return (self.hi - self.lo) / 2
-        return Fraction(0)
+        return (self.hi - self.lo) / 2
 
     def to_json(self, decimal: int | None = None) -> str:
-        def num(v: Fraction) -> str:
-            return format_coordinate(v, decimal)
-
-        payload = {
-            "kind": self.kind,
-            "mode": self.mode,
-            "N": self.n,
-            "d": self.dim,
-            "value": [num(self.lo), num(self.hi)] if self.mode == "bracketed" else num(self.value),
-            "resolution": self.resolution,
-        }
-        return json.dumps(payload, sort_keys=True)
+        ends = [format_coordinate(v, decimal) for v in (self.lo, self.hi)]
+        return json.dumps({"kind": self.kind, "mode": self.mode, "N": self.n, "d": self.dim,
+                           "value": ends[0] if self.resolution is None else ends,
+                           "resolution": self.resolution}, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -172,13 +162,11 @@ def _as_columns(points) -> Columns:
     return Columns.from_ratios(axes, EXACT)
 
 
-def _normalize(points) -> tuple[tuple, tuple[int, ...], str]:
-    """Integer columns, per-axis scales and the certification mode of the
-    input, after a range check: coordinate j of point i is
+def _normalize(points) -> tuple[tuple, tuple[int, ...], bool]:
+    """Integer columns, per-axis scales and whether the points are
+    represented, after a range check: coordinate j of point i is
     ``columns[j][i] / scales[j]``.  This is the one place a representation
-    tag becomes a mode: ``exact`` for an exact, uncoerced tag, else
-    ``exact-represented``.
-    """
+    tag is read: any tag but an exact, uncoerced one marks them represented."""
     batch = _as_columns(points)
     if batch.count == 0:
         raise ValidationError("empty point set")
@@ -186,8 +174,7 @@ def _normalize(points) -> tuple[tuple, tuple[int, ...], str]:
         lo, hi = (min(col), max(col)) if isinstance(col, list) else (int(col.min()), int(col.max()))
         if lo < 0 or hi >= scale:
             raise ValidationError(f"coordinate {Fraction(lo if lo < 0 else hi, scale)} outside [0, 1)")
-    mode = "exact" if batch.tag == EXACT else "exact-represented"
-    return batch.columns, batch.scales, mode
+    return batch.columns, batch.scales, batch.tag != EXACT
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +182,19 @@ def _normalize(points) -> tuple[tuple, tuple[int, ...], str]:
 # ---------------------------------------------------------------------------
 
 
-def _sorted_1d(points, name: str) -> tuple[list[int], int, str]:
+def _sorted_1d(points, name: str) -> tuple[list[int], int, bool]:
     """The numerators of one-dimensional points sorted as Python ints, their
-    scale and mode.  A list column is sorted by ``sorted``, which loads no
-    numpy; an array by ``np.sort``, ten times faster on 2^16 int64 values."""
-    columns, scales, mode = _normalize(points)
+    scale and ``represented`` flag.  A list column is sorted by ``sorted``, which
+    loads no numpy; an array by ``np.sort``, ten times faster on 2^16 int64 values."""
+    columns, scales, represented = _normalize(points)
     if len(columns) != 1:
         raise ValidationError(f"{name} needs one-dimensional points")
     col = columns[0]
     if isinstance(col, list):
-        return sorted(col), scales[0], mode
+        return sorted(col), scales[0], represented
     import numpy as np
 
-    return np.sort(col).tolist(), scales[0], mode
+    return np.sort(col).tolist(), scales[0], represented
 
 
 def star_disc_1d(points) -> DiscrepancyResult:
@@ -215,20 +202,22 @@ def star_disc_1d(points) -> DiscrepancyResult:
     ``1/(2N) + max_i |x_(i) - (2i-1)/(2N)|``, in integers: with sorted
     numerators a_i over the scale S it is
     ``(S + max_i |2N a_i - (2i-1) S|) / (2NS)``."""
-    xs, s, mode = _sorted_1d(points, "star_disc_1d")
+    xs, s, represented = _sorted_1d(points, "star_disc_1d")
     n = len(xs)
     best = max(abs(2 * n * a - (2 * i - 1) * s) for i, a in enumerate(xs, start=1))
-    return DiscrepancyResult("star", mode, n, 1, value=Fraction(s + best, 2 * n * s))
+    value = Fraction(s + best, 2 * n * s)
+    return DiscrepancyResult("star", n, 1, value, value, represented=represented)
 
 
 def extreme_disc_1d(points) -> DiscrepancyResult:
     """Exact extreme discrepancy in dimension 1,
     ``1/N + max_i (i/N - x_(i)) - min_i (i/N - x_(i))``, in integers:
     ``(S + max_i (iS - N a_i) - min_i (iS - N a_i)) / (NS)``."""
-    xs, s, mode = _sorted_1d(points, "extreme_disc_1d")
+    xs, s, represented = _sorted_1d(points, "extreme_disc_1d")
     n = len(xs)
     diffs = [i * s - n * a for i, a in enumerate(xs, start=1)]
-    return DiscrepancyResult("extreme", mode, n, 1, value=Fraction(s + max(diffs) - min(diffs), n * s))
+    value = Fraction(s + max(diffs) - min(diffs), n * s)
+    return DiscrepancyResult("extreme", n, 1, value, value, represented=represented)
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +348,11 @@ def _critical_grid(columns, scales) -> tuple[list[list[int]], np.ndarray]:
     return corners, np.stack(closed, axis=1).astype(np.int64)
 
 
-def _exact_star(columns, scales, mode: str, work_budget: int) -> DiscrepancyResult:
+def _exact_star(columns, scales, represented: bool, work_budget: int) -> DiscrepancyResult:
     corners, closed = _critical_grid(columns, scales)
     _check_cells("critical grid", math.prod(len(c) for c in corners), work_budget)
     value = _star_kernel(corners, scales, closed, closed)
-    return DiscrepancyResult("star", mode, len(columns[0]), len(columns), value=value)
+    return DiscrepancyResult("star", len(columns[0]), len(columns), value, value, represented=represented)
 
 
 def star_disc_exact(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> DiscrepancyResult:
@@ -379,10 +368,10 @@ def star_disc_exact(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> Discre
 def star_disc_2d_sweep(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> DiscrepancyResult:
     """Exact 2D star discrepancy: :func:`star_disc_exact` restricted to
     two-dimensional points."""
-    columns, scales, mode = _normalize(points)
+    columns, scales, represented = _normalize(points)
     if len(columns) != 2:
         raise ValidationError("star_disc_2d_sweep needs two-dimensional points")
-    return _exact_star(columns, scales, mode, work_budget)
+    return _exact_star(columns, scales, represented, work_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +413,7 @@ def extreme_disc_grid(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> Disc
     """
     import numpy as np
 
-    columns, scales, mode = _normalize(points)
+    columns, scales, represented = _normalize(points)
     n, d = len(columns[0]), len(columns)
     corners, closed = _critical_grid(columns, scales)
     starts = []  # index of the first upper corner per axis
@@ -460,7 +449,7 @@ def extreme_disc_grid(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> Disc
             yield r0, c_open, c_closed
 
     value = _max_objective(extents, scales, n, blocks())
-    return DiscrepancyResult("extreme", mode, n, d, value=value)
+    return DiscrepancyResult("extreme", n, d, value, value, represented=represented)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +467,7 @@ def star_disc_bracket(points, k: int, *, work_budget: int = DEFAULT_WORK_BUDGET)
     """
     import numpy as np
 
-    columns, scales, _ = _normalize(points)  # brackets certify an interval; callers note the representation
+    columns, scales, represented = _normalize(points)
     if k < 2:
         raise ValidationError("bracket resolution must be >= 2")
     n, d = len(columns[0]), len(columns)
@@ -494,7 +483,7 @@ def star_disc_bracket(points, k: int, *, work_budget: int = DEFAULT_WORK_BUDGET)
         lower[:, j] = closed[:, j] - (ceil[closed[:, j]] != col)
     lo = _star_kernel([range(k + 1)] * d, [k] * d, closed, lower)
     hi = min(lo + Fraction(d, k), Fraction(1))
-    return DiscrepancyResult("star", "bracketed", n, d, lo=lo, hi=hi, resolution=k)
+    return DiscrepancyResult("star", n, d, lo, hi, k, represented)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ defaults), so ``gen --spec`` with a preset's spec reproduces its points.
 
 Schedules default to geometric growth in N because every comparison of
 interest is against polylog(N)/N laws; linear schedules waste budget.
-Bracketed rows feed fits through their interval midpoint, and the interval
-half-width is kept on the row so downstream consumers can weigh it.
+Bracketed rows feed fits through their interval midpoint; the interval is
+kept on the row's result, and the table prints its ends and half-width.
 
 Everything is deterministic: sampling is seed-pinned, rows are emitted in
 schedule order regardless of evaluation order, and rerunning a plan
@@ -184,6 +184,11 @@ def run_scaling(plan: ExperimentPlan) -> list[ScalingRow]:
     return rows
 
 
+def _csv_cell(text: str) -> str:
+    """A CSV cell, quoted as RFC 4180 asks when it holds a comma, a quote or a line break."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def scaling_csv(rows: list[ScalingRow], decimal: int | None = None) -> str:
     """Delimited table for a scaling run; exact values by default."""
 
@@ -192,17 +197,14 @@ def scaling_csv(rows: list[ScalingRow], decimal: int | None = None) -> str:
 
     lines = ["N,kind,mode,value,lo,hi,halfwidth,normalized,error"]
     for row in rows:
-        if row.result is None:
-            lines.append(f"{row.n},,,,,,,,{row.error}")
-            continue
         r = row.result
-        norm = "" if row.normalized is None else f"{row.normalized:.12g}"
-        if r.mode == "bracketed":
-            lines.append(
-                f"{row.n},{r.kind},{r.mode},,{num(r.lo)},{num(r.hi)},{num(r.half_width)},{norm},"
-            )
+        if r is None:
+            cells = [row.n, "", "", "", "", "", "", "", row.error]
         else:
-            lines.append(f"{row.n},{r.kind},{r.mode},{num(r.value)},,,{num(Fraction(0))},{norm},")
+            ends = (None, None) if r.value is not None else (r.lo, r.hi)
+            norm = "" if row.normalized is None else f"{row.normalized:.12g}"
+            cells = [row.n, r.kind, r.mode, num(r.value), *map(num, ends), num(r.half_width), norm, ""]
+        lines.append(",".join(_csv_cell(str(c)) for c in cells))
     return "\n".join(lines) + "\n"
 
 

@@ -116,7 +116,7 @@ def _parse_args(text: str) -> dict[str, str]:
 def _need(args: dict[str, str], key: str, family: str) -> str:
     if key not in args:
         raise ValidationError(f"{family} spec needs {key}=...")
-    return args[key]
+    return args.pop(key)  # what is left in args was never read
 
 
 def _int(text: str, what: str) -> int:
@@ -207,21 +207,28 @@ def _series_token(s: LaurentSeries) -> str:
 
 
 def parse_spec(text: str) -> SequenceSpec:
-    """Parse a spec string (see the module docstring for the grammar)."""
+    """Parse a spec string (see the module docstring for the grammar).  A key
+    that its family does not take is refused, at every nesting level."""
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1].strip()
     family, _, argtext = text.partition(":")
     family = family.strip()
     args = _parse_args(argtext)
+    spec = _build_spec(family, args)  # takes out each key it reads
+    if args:
+        raise ValidationError(f"{family} spec takes no key {next(iter(args))!r}")
+    return spec
 
+
+def _build_spec(family: str, args: dict[str, str]) -> SequenceSpec:
     def ints(key: str) -> tuple[int, ...]:
         return tuple(_int(v, key) for v in _split_top(_need(args, key, family), "|"))
 
     if family == "halton":
         return Halton(ints("bases"))
     if family == "kronecker":
-        width = _int(args.get("width", str(DEFAULT_WIDTH)), "width")
+        width = _int(args.pop("width", str(DEFAULT_WIDTH)), "width")
         tokens = _split_top(_need(args, "alphas", family), "|")
         return Kronecker(tuple(parse_alpha(t, width) for t in tokens))
     if family == "digital":
@@ -232,7 +239,7 @@ def parse_spec(text: str) -> SequenceSpec:
     if family == "digital-kronecker":
         q = _int(_need(args, "q", family), "q")
         precision = _int(_need(args, "L", family), "L")
-        depth = _int(args.get("depth", str(2 * precision)), "depth")
+        depth = _int(args.pop("depth", str(2 * precision)), "depth")
         series = tuple(
             _parse_series(t, q, depth) for t in _split_top(_need(args, "series", family), "|")
         )

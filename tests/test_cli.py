@@ -99,6 +99,30 @@ def test_point_files_read_back_as_columns(tmp_path, spec, decimal):
     assert json.loads(out) == dict(json.loads(result.to_json()), mode=mode)
 
 
+def test_gen_piped_into_disc_reads_stdin(tmp_path, monkeypatch):
+    spec = "hybrid:left=(halton:bases=2),right=(kronecker:width=96,alphas=sqrt2)"
+    pts = tmp_path / "p.tsv"
+    assert run_cli("gen", "--spec", spec, "--count", "50", "--out", str(pts))[0] == 0
+    code, text, _ = run_cli("gen", "--spec", spec, "--count", "50")
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    piped = run_cli("disc", "--in", "-")
+    assert piped == run_cli("disc", "--in", str(pts)) and piped[0] == 0
+
+
+def test_bits_alpha_tokens_generate_and_round_trip():
+    from lowdisc.pointio import parse_spec, spec_to_string
+
+    spec = "kronecker:width=64,alphas=bits:0x6a09e667f3bcc908"
+    code, out, _ = run_cli("gen", "--spec", spec, "--count", "3")
+    assert code == 0
+    lines = out.splitlines()
+    header = dict(item.split("=", 1) for item in lines[0][1:].split())
+    assert header["spec"] == spec and spec_to_string(parse_spec(header["spec"])) == spec
+    alpha = Fraction(0x6A09E667F3BCC908, 1 << 64)
+    assert [Fraction(t) for t in lines[1:]] == [Fraction(0), alpha, 2 * alpha]
+
+
 def test_disc_marks_represented_points(tmp_path):
     pts = tmp_path / "p.tsv"
     run_cli("gen", "--spec", "kronecker:width=96,alphas=sqrt2", "--count", "16", "--out", str(pts))
@@ -229,6 +253,18 @@ DIGITAL = "digital:q=3,L=4,matrices="
         (("moser", "--to", "-3"), None, "--to must be >= 2, got -3"),
         (("scan-lattice", "--N", "5", "--d", "2", "--mode", "exhaustive", "--count", "3"), None, "count"),
         (("scan-lattice", "--N", "5", "--d", "2", "--seed", "3"), None, "seed"),
+        # keys a spec family does not take, at any nesting level, and keys a file gives twice
+        (("gen", "--spec", "kronecker:alphas=sqrt2,widht=64", "--count", "4"), None,
+         "kronecker spec takes no key 'widht'"),
+        (("gen", "--spec", "halton:bases=2,foo=3", "--count", "4"), None, "halton spec takes no key 'foo'"),
+        (("gen", "--spec", "hybrid:left=(halton:bases=2),right=(kronecker:alphas=sqrt2,x=1)", "--count", "4"),
+         None, "kronecker spec takes no key 'x'"),
+        (("gen", "--spec", "digitsum:inner=(halton:bases=2),depth=3", "--count", "4"), None,
+         "digitsum spec takes no key 'depth'"),
+        (("experiment", "--plan", "{file}"), PLAN + "schedule = 16\n", "input:3: duplicate key 'schedule'"),
+        (("gen", "--spec", "{file}", "--count", "4"), "spec = halton:bases=2\nspec = halton:bases=3\n",
+         "input:2: duplicate key 'spec'"),
+        (("gen", "--spec", "kronecker:width=64,alphas=bits:zz", "--count", "4"), None, "bad bits token 'bits:zz'"),
     ],
     ids=["rational", "gens", "schedule", "plan-k", "plan-p", "plan-schedule", "fit-no-N", "fit-N",
          "fit-value", "fit-short-row", "random-size", "finiterandom-seed", "finiterandom-rho", "rows",
@@ -236,7 +272,9 @@ DIGITAL = "digital:q=3,L=4,matrices="
          "plan-width", "plan-algo", "plan-k-1", "plan-unknown-key", "disc-2d-k", "disc-grid-k",
          "disc-bracket-k-1", "disc-auto-k-1", "disc-extreme-k", "disc-1d-k", "preset-1d-k", "plan-grid-k",
          "disc-budget-0", "disc-1d-budget", "plan-2d-on-3d", "disc-1d-on-2d", "zaremba-to-1", "moser-to-1",
-         "moser-to-negative", "exhaustive-count", "exhaustive-seed"],
+         "moser-to-negative", "exhaustive-count", "exhaustive-seed", "spec-unknown-key", "halton-unknown-key",
+         "nested-unknown-key", "digitsum-unknown-key", "plan-duplicate-key", "spec-file-duplicate-key",
+         "bits-not-hex"],
 )
 def test_malformed_numbers_exit_2(argv, text, names, tmp_path):
     path = tmp_path / "input"
@@ -338,6 +376,39 @@ def test_experiment_preset_and_fit_pipeline(tmp_path):
     code, out, _ = run_cli("fit", "--in", str(table))
     assert code == 0
     assert out.startswith("exponent=") and "samples=5" in out
+
+
+def test_fit_of_a_table_with_bracketed_rows_matches_the_library(tmp_path):
+    from dataclasses import replace
+
+    from lowdisc.experiments import fit_exponent, preset, run_scaling
+
+    table = tmp_path / "table.csv"
+    argv = ("experiment", "--preset", "halton-2-3", "--schedule", "1024,2048,4096", "--out", str(table))
+    assert run_cli(*argv)[0] == 0
+    assert [line.split(",")[2] for line in table.read_text().splitlines()[1:]] == ["exact", "exact", "bracketed"]
+    fit = fit_exponent(run_scaling(replace(preset("halton-2-3"), schedule=(1024, 2048, 4096))))
+    want = (f"exponent={fit.exponent:.12g}\nintercept={fit.intercept:.12g}\n"
+            f"residual_norm={fit.residual_norm:.12g}\nsamples=3\n")
+    assert run_cli("fit", "--in", str(table)) == (0, want, "")
+
+
+def test_scaling_table_quotes_cells_that_need_it(tmp_path):
+    import csv
+
+    from lowdisc.experiments import ScalingRow, scaling_csv
+
+    plan, table = tmp_path / "plan.cfg", tmp_path / "table.csv"
+    plan.write_text("spec = rational-net:q=2,f=1.1.1,gs=1|1.1\nschedule = 2,4,8\n")
+    assert run_cli("experiment", "--plan", str(plan), "--out", str(table))[0] == 0
+    with open(table, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert [len(r) for r in rows] == [9] * 4
+    assert rows[3] == ["8"] + [""] * 7 + ["net index 4 outside [0, 4)"]
+    code, out, err = run_cli("fit", "--in", str(table))
+    assert (code, out, err) == (2, "", "error: need at least three rows with N >= 16 and positive values\n")
+    text = scaling_csv([ScalingRow(n=5, result=None, normalized=None, error='a "b",\nc')])
+    assert list(csv.reader(io.StringIO(text, newline="")))[1] == ["5"] + [""] * 7 + ['a "b",\nc']
 
 
 def test_experiment_plan_file(tmp_path):

@@ -512,8 +512,46 @@ def test_result_json_shape():
 
 def test_result_invariants_enforced():
     with pytest.raises(ValidationError):
-        DiscrepancyResult("star", "exact", 4, 1, value=Fraction(3, 2))
+        DiscrepancyResult("star", 4, 1, Fraction(3, 2), Fraction(3, 2))
     with pytest.raises(ValidationError):
-        DiscrepancyResult("star", "bracketed", 4, 1, lo=Fraction(0), hi=Fraction(1), resolution=4)
-    with pytest.raises(ValidationError):
-        DiscrepancyResult("star", "nosuch", 4, 1, value=Fraction(1, 2))
+        DiscrepancyResult("star", 4, 1, Fraction(0), Fraction(1), resolution=4)
+    with pytest.raises(ValidationError):  # an exact result is one point
+        DiscrepancyResult("star", 4, 1, Fraction(1, 4), Fraction(1, 2))
+
+
+def test_result_refuses_an_unknown_kind():
+    with pytest.raises(ValidationError, match="unknown discrepancy kind 'nosuch'"):
+        DiscrepancyResult("nosuch", 4, 1, Fraction(1, 2), Fraction(1, 2))
+
+
+@pytest.mark.parametrize(
+    "result, mode, value, midpoint, half_width, text",
+    [
+        (DiscrepancyResult("star", 4, 1, Fraction(1, 4), Fraction(1, 4)), "exact", Fraction(1, 4),
+         Fraction(1, 4), 0, '{"N": 4, "d": 1, "kind": "star", "mode": "exact", "resolution": null, "value": "1/4"}'),
+        (DiscrepancyResult("extreme", 16, 2, Fraction(3, 8), Fraction(3, 8), represented=True),
+         "exact-represented", Fraction(3, 8), Fraction(3, 8), 0,
+         '{"N": 16, "d": 2, "kind": "extreme", "mode": "exact-represented", "resolution": null, "value": "3/8"}'),
+        (DiscrepancyResult("star", 9, 2, Fraction(1, 3), Fraction(1, 2), 8, True), "bracketed", None,
+         Fraction(5, 12), Fraction(1, 12),
+         '{"N": 9, "d": 2, "kind": "star", "mode": "bracketed", "resolution": 8, "value": ["1/3", "1/2"]}'),
+    ],
+    ids=["exact", "exact-represented", "bracketed"],
+)
+def test_result_derives_mode_and_value(result, mode, value, midpoint, half_width, text):
+    assert (result.mode, result.value, result.midpoint, result.half_width) == (mode, value, midpoint, half_width)
+    assert result.to_json() == text
+
+
+def test_brackets_keep_the_representation(tmp_path):
+    from lowdisc.cli import main
+    from lowdisc.pointio import read_points
+
+    op9 = stream(preset("op9-vdc-sqrt2").spec, 0, 300)
+    assert star_disc_bracket(op9, 64).represented is True
+    path = tmp_path / "p.tsv"
+    assert main(["gen", "--spec", "halton:bases=2|3", "--count", "300", "--decimal", "6", "--out", str(path)]) == 0
+    with open(path, encoding="utf-8") as fh:
+        assert star_disc_bracket(read_points(fh).columns, 64).represented is True
+    halton = star_disc_bracket(stream(Halton((2, 3)), 0, 300), 64)
+    assert (halton.represented, halton.mode) == (False, "bracketed")
