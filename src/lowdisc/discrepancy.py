@@ -16,7 +16,8 @@ and :func:`star_disc_bracket` differ only in the corner grid they hand it.
   distinct coordinates plus 1, or the lattice i/k of a bracket), and each
   point becomes two indices per axis, the first corner at or above it
   (closed counting) and the last corner at or below it (strict counting);
-  a bracket finds them by binary search, forming no per-point products.
+  a bracket divides in int64 where ak fits, else it finds them by binary
+  search, forming no per-point products.
 * Blocked prefix sums: the counts at every corner are prefix sums of a
   histogram over rank space (Dobkin, Eppstein and Mitchell, ACM TOG 15(4),
   1996), summed one block of axis-0 rows at a time with a copy of the last
@@ -26,6 +27,15 @@ and :func:`star_disc_bracket` differ only in the corner grid they hand it.
   float maximum so far are rechecked at once in integer arithmetic, keeping
   only the exact maximum (the filter-then-exact pattern of Shewchuk, DCG 18,
   1997).  Floats prune; no floating point decides a maximum.
+
+A bracket request may come back exact.  On the lattice pass the bracket
+also bounds every cell ``(a/k, b/k]``, b = a + 1: no corner inside exceeds
+``max(vol(b) - closed(a)/N, closed(b)/N - vol(a))`` (Thiemard, J.
+Complexity 17, 2001).  Its ``hi`` is the largest bound, rechecked in
+integers, which is tighter than the lattice maximum plus d/k.  The cells
+whose bound can reach the lattice maximum hold some critical corners; if
+they number at most (k + 1)^d, the bracket evaluates them on the same
+float filter and exact recheck and returns the exact value.
 
 The extreme kind in d >= 2 (:func:`extreme_disc_grid`) runs the same
 filter and recheck over every lower/upper corner pair, counting each box by
@@ -54,6 +64,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -230,14 +241,24 @@ def extreme_disc_1d(points) -> DiscrepancyResult:
 # holds at least one axis-0 row.
 _BLOCK_CELLS = 1 << 14
 
+# Cells a bracket keeps from its lattice pass to finish from; past this many
+# it finds its surviving cells again, block by block.  It evaluates their
+# corners in batches of about _CORNER_BATCH, each holding some thirty arrays
+# of that length.
+_STORED_CELLS = 1 << 13
+_CORNER_BATCH = 1 << 12
 
-def _prefix_counts(index, shape):
+
+def _prefix_counts(index, shape, starts=None):
     """Yield ``(r0, block)`` for consecutive runs of axis-0 rows of the grid.
 
     ``block[a, b, ...]`` is the number of points whose index is at most
     ``(r0 + a - 1, b - 1, ...)`` on every axis, so index -1 reads 0 and
     ``block[0]`` repeats the last row of the previous block: a histogram over
     rank space, summed one block at a time with the last row carried over.
+    Given a set of block ``starts``, only those blocks are yielded; the
+    points of the rows skipped before one are added to the carried row by a
+    histogram of their own, so no skipped row is summed.
     """
     import numpy as np
 
@@ -247,7 +268,16 @@ def _prefix_counts(index, shape):
     step = max(1, _BLOCK_CELLS // row_cells)
     flat = np.sort(np.ravel_multi_index(tuple((index + 1).T), padded))
     carry = np.zeros(row, dtype=np.int64)
+    done = 0  # the carry holds the points of the rows below this one
     for r0 in range(0, shape[0], step):
+        if starts is not None and r0 not in starts:
+            continue
+        if done < r0:
+            lo, hi = np.searchsorted(flat, ((done + 1) * row_cells, (r0 + 1) * row_cells))
+            skipped = np.bincount(flat[lo:hi] % row_cells, minlength=row_cells).reshape(row)
+            for axis in range(len(row)):
+                np.cumsum(skipped, axis=axis, out=skipped)
+            carry += skipped
         r1 = min(r0 + step, shape[0])
         lo, hi = np.searchsorted(flat, ((r0 + 1) * row_cells, (r1 + 1) * row_cells))
         block = np.bincount(flat[lo:hi] - r0 * row_cells, minlength=(r1 - r0 + 1) * row_cells)
@@ -261,16 +291,17 @@ def _prefix_counts(index, shape):
         else:  # rows loop slower than the cumsum below about 300 cells (x86-64)
             np.cumsum(block, axis=0, out=block)
         carry = block[-1].copy()  # a view would keep the whole block alive
+        done = r1
         yield r0, block
 
 
-def _max_objective(extents, scales, n: int, blocks) -> Fraction:
-    """Exact maximum over a grid of cells of ``max(vol - open/N, closed/N - vol)``.
+class _ExactMax:
+    """Exact maximum of ``max(vol - open/N, closed/N - vol)`` over cells
+    handed in batch by batch, each side on its own.
 
     Cell ``(i_0, ..., i_{d-1})`` has volume ``prod_j extents[j][i_j] / scales[j]``
-    (each extent an integer in ``[0, scales[j]]``).  ``blocks`` yields
-    ``(r0, open_, closed)``: int64 arrays of the open and closed point counts
-    of the cells whose axis-0 index runs from r0.
+    (each extent an integer in ``[0, scales[j]]``); a batch names its cells
+    by per-axis index arrays that broadcast together.
 
     Floats only prune.  Both sides are evaluated scaled by N in float64.
     ``N vol`` costs d correctly rounded quotients ``e_j / s_j`` (the first
@@ -280,59 +311,128 @@ def _max_objective(extents, scales, n: int, blocks) -> Fraction:
     (gradual underflow adds at most 2^-1074 per operation).  A cell whose
     float value is below ``F - 2E``, F the float maximum so far, is therefore
     below the cell that attains the true maximum; the spare ``2uN`` in 2E
-    covers the rounding of ``F - 2E`` itself.  Each block's other cells are
+    covers the rounding of ``F - 2E`` itself.  Each batch's other cells are
     rechecked at once in integer arithmetic from the exact extents and int64
     counts, so only an exact maximum is carried forward, however many tie.
     """
-    import numpy as np
 
-    d = len(extents)
-    axes = [np.array([e * w / s for e in es]) for es, s, w in zip(extents, scales, (n,) + (1,) * d)]
-    nvol_row = reduce(np.multiply.outer, axes[1:], np.ones(()))
-    slack = (4 * d + 2) * 2.0**-53 * n  # 2E
-    total = math.prod(scales)
-    exact_extents = [int_array(es, n * total + 1) for es in extents]
-    best, exact = -np.inf, 0
-    for r0, c_open, c_closed in blocks:
-        nvol = np.multiply.outer(axes[0][r0 : r0 + len(c_open)], nvol_row)
-        for sign, count in ((1, c_open), (-1, c_closed)):
-            value = nvol - count if sign == 1 else count - nvol
-            top = float(value.max())
-            if top < best - slack:
-                continue
-            best = max(best, top)
-            hit = np.nonzero(value >= best - slack)
-            cell = (hit[0] + r0,) + hit[1:]
-            lam = reduce(np.multiply, (e[i] for e, i in zip(exact_extents, cell)), n)
-            counts = count[hit].astype(exact_extents[0].dtype)
-            exact = max(exact, int((sign * (lam - counts * total)).max()))
-    return Fraction(exact, n * total)
+    def __init__(self, extents, scales, n: int) -> None:
+        import numpy as np
+
+        d = len(extents)
+        self.n, self.total = n, math.prod(scales)
+        self.axes = [np.array([e * w / s for e in es]) for es, s, w in zip(extents, scales, (n,) + (1,) * d)]
+        self.extents = [int_array(es, n * self.total + 1) for es in extents]
+        self.slack = (4 * d + 2) * 2.0**-53 * n  # 2E
+        self.best, self.exact = -math.inf, 0
+        self._rows = {}
+
+    def nvol(self, index):
+        """``N vol`` in float64 at the cells ``index``."""
+        return reduce(operator.mul, (a[i] for a, i in zip(self.axes, index)))
+
+    def grid(self, rows: slice, cols: slice = slice(None), volumes: bool = True):
+        """The index of the cells in the axis-0 ``rows`` of the grid, every
+        other axis cut to ``cols``, and their ``N vol`` (None unless
+        ``volumes``); one row's product of the other axes is kept per ``cols``."""
+        import numpy as np
+
+        if (cols.start, cols.stop) not in self._rows:
+            rest = np.ix_(np.arange(1), *(np.arange(len(a))[cols] for a in self.axes[1:]))[1:]
+            row = reduce(np.multiply.outer, (a[cols] for a in self.axes[1:]), np.ones(()))
+            self._rows[cols.start, cols.stop] = rest, row
+        rest, row = self._rows[cols.start, cols.stop]
+        index = (np.arange(len(self.axes[0]))[rows].reshape((-1,) + (1,) * len(rest)),) + rest
+        return index, np.multiply.outer(self.axes[0][rows], row) if volumes else None
+
+    def add(self, index, sign: int, count, value) -> float:
+        """Take in one side of the cells ``index``: ``value`` is the float
+        ``sign (N vol - count)`` of each.  Returns its float maximum."""
+        import numpy as np
+
+        top = float(value.max())
+        if top >= self.best - self.slack:
+            self.best = max(self.best, top)
+            hit = np.unravel_index(np.flatnonzero(value >= self.best - self.slack), value.shape)
+            cell = (np.broadcast_to(i, value.shape)[hit] for i in index)
+            lam = reduce(np.multiply, (e[c] for e, c in zip(self.extents, cell)), self.n)
+            counts = count[hit].astype(self.extents[0].dtype)
+            self.exact = max(self.exact, int((sign * (lam - counts * self.total)).max()))
+        return top
+
+    def add_rows(self, r0: int, c_open, c_closed):
+        """Take in both sides of a block of grid rows from axis-0 index r0 on,
+        with their open and closed counts.  Returns their ``N vol``."""
+        index, nvol = self.grid(slice(r0, r0 + len(c_open)))
+        self.add(index, 1, c_open, nvol - c_open)
+        self.add(index, -1, c_closed, c_closed - nvol)
+        return nvol
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.exact, self.n * self.total)
+
+
+def _count_blocks(closed, lower, shape):
+    """Yield ``(r0, block, open_, closed_)`` over the corner grid: the padded
+    closed prefix counts of :func:`_prefix_counts` and the open and closed
+    counts at the corners of its rows.
+
+    ``closed[p, j]`` is the index of the first corner of axis j with
+    ``x_pj <= corner``, ``lower[p, j]`` that of the last with
+    ``corner <= x_pj`` (-1 if none).  A point is in the closed (open) box of
+    corner i when its closed index is at most i (lower index below i) on
+    every axis: the open count at corner i is the lower count at i - 1.
+    """
+    d = len(shape)
+    counts = _prefix_counts(closed, shape)
+    if lower is closed:  # critical grids: one histogram serves both
+        hists = ((r0, h, h) for r0, h in counts)
+    else:
+        hists = ((r0, h, g) for (r0, h), (_, g) in zip(counts, _prefix_counts(lower, shape)))
+    for r0, h, g in hists:
+        yield r0, h, g[(slice(-1),) * d], h[(slice(1, None),) * d]
 
 
 def _star_kernel(corners, scales, closed, lower) -> Fraction:
     """Exact maximum over the corner grid of ``max(vol - open/N, closed/N - vol)``.
 
     ``corners[j]`` lists the sorted corner values of axis j as integers in
-    units of ``1/scales[j]``.  ``closed[p, j]`` is the index of the first
-    corner of axis j with ``x_pj <= corner``, ``lower[p, j]`` that of the last
-    with ``corner <= x_pj`` (-1 if none).  A point is in the closed (open) box
-    of corner i when its closed index is at most i (lower index below i) on
-    every axis: the open count at corner i is the lower count at i - 1.
+    units of ``1/scales[j]``; ``closed`` and ``lower`` index the points as
+    :func:`_count_blocks` reads them.
     """
-    n, d = closed.shape
-    shape = tuple(len(c) for c in corners)
-    counts = _prefix_counts(closed, shape)
-    if lower is closed:  # critical grids: one histogram serves both
-        hists = ((r0, h, h) for r0, h in counts)
-    else:
-        hists = ((r0, h, g) for (r0, h), (_, g) in zip(counts, _prefix_counts(lower, shape)))
-    blocks = ((r0, g[(slice(-1),) * d], h[(slice(1, None),) * d]) for r0, h, g in hists)
-    return _max_objective(corners, scales, n, blocks)
+    best = _ExactMax(corners, scales, closed.shape[0])
+    for r0, _, c_open, c_closed in _count_blocks(closed, lower, tuple(len(c) for c in corners)):
+        best.add_rows(r0, c_open, c_closed)
+    return best.value
 
 
 # ---------------------------------------------------------------------------
 # Exact star discrepancy (critical grid)
 # ---------------------------------------------------------------------------
+
+
+def _distinct(col):
+    """The sorted distinct values of a column: a list of a list column (as
+    Python ints, four times faster than ``np.unique`` on objects), else an
+    array (by a sort, ten times faster than numpy 2's hashing ``np.unique``
+    on 46,656 int64 values)."""
+    import numpy as np
+
+    if isinstance(col, list):
+        return sorted(set(col))
+    values = np.sort(col)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def _ranks(col, values):
+    """The index of each value of a column in its sorted distinct ``values``."""
+    import numpy as np
+
+    if isinstance(col, list):
+        at = dict(zip(values, range(len(values))))
+        return np.array([at[v] for v in col], dtype=np.int64)
+    return np.searchsorted(values, col)
 
 
 def _critical_grid(columns, scales) -> tuple[list[list[int]], np.ndarray]:
@@ -342,9 +442,9 @@ def _critical_grid(columns, scales) -> tuple[list[list[int]], np.ndarray]:
 
     corners, closed = [], []
     for col, scale in zip(columns, scales):
-        values, rank = np.unique(int_array(col, scale), return_inverse=True)
-        corners.append(values.tolist() + [scale])
-        closed.append(rank)
+        values = _distinct(col)
+        corners.append(list(values) + [scale] if isinstance(col, list) else values.tolist() + [scale])
+        closed.append(_ranks(col, values))
     return corners, np.stack(closed, axis=1).astype(np.int64)
 
 
@@ -439,16 +539,15 @@ def extreme_disc_grid(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> Disc
     prefix = np.concatenate([h if r0 == 0 else h[1:] for r0, h in _prefix_counts(closed, shape)])
     step = max(1, _BLOCK_CELLS // math.prod(len(e) for e in extents[1:]))
 
-    def blocks():
-        for r0 in range(0, len(extents[0]), step):
-            rows = slice(r0, r0 + step)
-            c_open, c_closed = (
-                _box_counts(prefix, [tuple(b[rows] for b in bounds[0]), *bounds[1:]])
-                for bounds in (open_bounds, closed_bounds)
-            )
-            yield r0, c_open, c_closed
-
-    value = _max_objective(extents, scales, n, blocks())
+    best = _ExactMax(extents, scales, n)
+    for r0 in range(0, len(extents[0]), step):
+        rows = slice(r0, r0 + step)
+        c_open, c_closed = (
+            _box_counts(prefix, [tuple(b[rows] for b in bounds[0]), *bounds[1:]])
+            for bounds in (open_bounds, closed_bounds)
+        )
+        best.add_rows(r0, c_open, c_closed)
+    value = best.value
     return DiscrepancyResult("extreme", n, d, value, value, represented=represented)
 
 
@@ -457,13 +556,252 @@ def extreme_disc_grid(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> Disc
 # ---------------------------------------------------------------------------
 
 
-def star_disc_bracket(points, k: int, *, work_budget: int = DEFAULT_WORK_BUDGET) -> DiscrepancyResult:
-    """Enclose the star discrepancy in ``[m, m + d/k]`` where m is the exact
-    maximum of the discrepancy function over the corner lattice {0..k}^d / k.
+def _lattice_indices(columns, scales, k: int):
+    """The closed and lower index of every point on the lattice {0..k}/k,
+    ceil(ak/s) and floor(ak/s) for a numerator a over the scale s.
 
-    The volume is 1-Lipschitz per coordinate and the counts are monotone, so
-    the true supremum exceeds the lattice maximum by at most d/k.  A lattice
-    of more than ``work_budget`` corners, (k + 1)^d, is refused.
+    While ak fits int64 they are one vectorized division.  Otherwise corner
+    i/k is at or above a/s iff a <= floor(is/k), so the closed index counts
+    the corners with floor(is/k) < a: a search in rank space, which forms no
+    per-point products.  The lower index is one less unless a = ceil(is/k).
+    """
+    import numpy as np
+
+    n, d = len(columns[0]), len(columns)
+    closed, lower = np.empty((n, d), dtype=np.int64), np.empty((n, d), dtype=np.int64)
+    for j, (col, s) in enumerate(zip(columns, scales)):
+        if not isinstance(col, list) and s * k <= 1 << 63:
+            lower[:, j], rest = np.divmod(col * k, s)
+            closed[:, j] = lower[:, j] + (rest != 0)
+            continue
+        col = int_array(col, s)
+        closed[:, j] = np.searchsorted(int_array([i * s // k for i in range(k)], s), col)
+        ceil = int_array([-(-i * s // k) for i in range(k + 1)], s + 1)
+        lower[:, j] = closed[:, j] - (ceil[closed[:, j]] != col)
+    return closed, lower
+
+
+def _block_cells(block, r0: int, bounds: _ExactMax, nvol=None):
+    """The lattice cells ``(a, a + 1]`` whose lower corner a lies in a
+    :func:`_prefix_counts` block from row r0 on, or None if none does: the
+    first such row, the index and float bound of each side,
+    ``N vol(a + 1) - closed(a)`` and ``closed(a + 1) - N vol(a)``, and the
+    counts ``closed(a)`` and ``closed(a + 1)``.  ``nvol``, when given, is
+    ``N vol`` at the corners of the block's own rows, and is overwritten."""
+    import numpy as np
+
+    d, s = block.ndim, int(r0 == 0)  # block row i holds lattice row r0 - 1 + i
+    first, stop = r0 - 1 + s, r0 + len(block) - 2
+    if first >= stop:
+        return None
+    c_low = block[(slice(s, -1),) + (slice(1, -1),) * (d - 1)]
+    c_up = block[(slice(s + 1, None),) + (slice(2, None),) * (d - 1)]
+    up, nvol_up = bounds.grid(slice(first + 1, stop + 1), slice(1, None), nvol is None)
+    if nvol is not None:  # the upper corners' rows are the block's own, from row 0 or 1 on
+        nvol_up = nvol[(slice(s, None),) + (slice(1, None),) * (d - 1)]
+    low, nvol_low = bounds.grid(slice(first, stop), slice(None, -1))
+    upper, lower = np.subtract(nvol_up, c_low, out=nvol_up), np.subtract(c_up, nvol_low, out=nvol_low)
+    return first, (up, upper), (low, lower), c_low, c_up
+
+
+def _cells_where(keep, first: int, *arrays):
+    """The cells of a block where ``keep`` holds, as rows of their lower
+    corners a (the block's cells start at row ``first``), and the entries of
+    each of ``arrays`` there."""
+    import numpy as np
+
+    hit = np.unravel_index(np.flatnonzero(keep), keep.shape)
+    cells = np.stack(hit, axis=1)
+    cells[:, 0] += first
+    return (cells, *(a[hit] for a in arrays))
+
+
+def _reaching(cells, cutoff: float):
+    """Those of ``cells = (cells, closed(a), closed(a + 1), upper, lower)``
+    with a side whose float bound reaches ``cutoff``."""
+    keep = (cells[3] >= cutoff) | (cells[4] >= cutoff)
+    return [x[keep] for x in cells]
+
+
+def _surviving_cells(closed, k: int, starts, bounds: _ExactMax, cutoff: float):
+    """Yield, for each block from ``starts``, the cells where the float bound
+    of a side reaches ``cutoff``, their counts ``closed(a)`` and
+    ``closed(a + 1)``, and which sides do."""
+    for r0, block in _prefix_counts(closed, (k + 1,) * closed.shape[1], starts):
+        first, (_, upper), (_, lower), c_low, c_up = _block_cells(block, r0, bounds)
+        upper, lower = upper >= cutoff, lower >= cutoff
+        yield _cells_where(upper | lower, first, c_low, c_up, upper, lower)
+
+
+def _cell_prefix_sums(hist, shape):
+    """Prefix-sum every cell's own grid of corners along each axis, in place.
+
+    Cell t has ``shape[t]`` corners, stored row-major one cell after another
+    in ``hist``.  Returns each corner's index within its cell, one array per
+    axis.  Along the last axis every line is a run of consecutive entries;
+    along another axis j a permutation lists each cell's corners with j
+    varying fastest.  Either way a line's prefix sums are one cumsum less
+    the sum before the line's start.
+    """
+    import numpy as np
+
+    d = shape.shape[1]
+    owner, digits = np.arange(len(shape)), []
+    for j in range(d):  # split each run of the corners of axes < j into shape[., j] runs
+        m = shape[owner, j]
+        digits = [np.repeat(digit, m) for digit in digits]
+        digits.append(np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m))
+        owner = np.repeat(owner, m)
+    position = np.arange(len(owner))
+    inner, below = 1, 0  # per corner, the stride of axis j and its offset within that stride
+    for j in reversed(range(d)):
+        digit, m = digits[j], shape[owner, j]
+        if j == d - 1:
+            order, start = slice(None), position - digit
+        else:  # order: position in the axis-j-fastest layout -> row-major position
+            order = np.empty(len(position), dtype=np.int64)
+            order[position + digit * (1 - inner) + below * (m - 1)] = position
+            start = position - digit[order]
+        run = hist[order]
+        summed = np.cumsum(run)
+        hist[order] = summed - (summed - run)[start]
+        below = below + digit * inner
+        inner = inner * m
+    return digits
+
+
+def _finish_bracket(columns, scales, closed, k: int, survivors, cutoff: float):
+    """The exact maximum over the critical corners inside the cells that
+    ``survivors()`` yields, in blocks of ``(cells, closed(a), closed(a + 1),
+    open side, closed side)``, a cell as the row of its lower corner a and
+    each side a mask of the cells where that side may reach ``cutoff``; or
+    None when the cells hold more than the lattice's (k + 1)^d corners.
+
+    On axis j the cell ``(a_j/k, (a_j + 1)/k]`` holds the distinct
+    coordinates in it, and the last cell the scale too.  A corner c in cell
+    a counts the points of ``closed(a)``, which all lie below c, and those
+    points of the cell's shell (within a + 1 on every axis but not within a)
+    that lie below c.  Each shell point is entered in a histogram over the
+    cell's own corners at the first corner at or above it (closed counting)
+    or above it (open counting), and the histogram is prefix-summed.
+
+    Each side is evaluated on a box of the cell's corners only.  The open
+    side at c is at most ``N vol(c) - closed(a)``, so on each axis the
+    corners that stay below ``cutoff`` with the cell's largest corners on
+    the other axes are dropped from below; the closed side at c is at most
+    ``closed(a + 1) - N vol(c)``, so corners are dropped from above against
+    the smallest ones.  The thresholds carry a relative margin of 2^-40,
+    far above the float error of a product of d quotients.
+    """
+    import numpy as np
+
+    n, d = closed.shape
+    distinct = [None] * d
+    first, count = [], []  # per axis and cell, the index of its first corner and how many it holds
+    for j, (col, s) in enumerate(zip(columns, scales)):
+        # edges[i]: the corners within i/k, for i < k, then all coordinate corners
+        if isinstance(col, list) and len(set(col)) == n:  # one corner per point: no sort of wide values
+            edges = np.cumsum(np.bincount(closed[:, j], minlength=k + 1))
+        else:
+            distinct[j] = _distinct(col)
+            lines = int_array([i * s // k for i in range(k)], s)  # x <= i/k iff its numerator is at most these
+            edges = np.append(np.searchsorted(int_array(distinct[j], s), lines, side="right"), len(distinct[j]))
+        edges[k] += 1  # the last cell holds the scale too
+        first.append(edges[:-1])
+        count.append(np.diff(edges))
+
+    total = 0.0  # in float64: exact below 2^53, and past it over budget anyway
+    for cells, *_ in survivors():
+        total += float(reduce(operator.mul, (c[a].astype(float) for c, a in zip(count, cells.T))).sum())
+        if total > (k + 1) ** d:
+            return None
+
+    distinct = [_distinct(col) if v is None else v for col, v in zip(columns, distinct)]
+    rank = np.stack([_ranks(col, values) for col, values in zip(columns, distinct)], axis=1)
+    order = [np.argsort(closed[:, j], kind="stable") for j in range(d)]  # the points by closed lattice index
+    bucket = [np.searchsorted(closed[o, j], np.arange(k + 2)) for j, o in enumerate(order)]
+    corners = [list(v) + [s] if isinstance(v, list) else v.tolist() + [s] for v, s in zip(distinct, scales)]
+    best = _ExactMax(corners, scales, n)
+
+    def box(cells, base, c_up, sign):  # each cell's first corner and corners per axis for one side
+        start = np.stack([f[a] for f, a in zip(first, cells.T)], axis=1)
+        stop = start + np.stack([c[a] for c, a in zip(count, cells.T)], axis=1)
+        edge = np.stack([a[i] for a, i in zip(best.axes, (stop - 1 if sign == 1 else start).T)], axis=1)
+        need = (cutoff + base) * (1 - 2.0**-40) if sign == 1 else (c_up - cutoff) * (1 + 2.0**-40)
+        for j in range(d):
+            limit = need / np.prod(np.delete(edge, j, axis=1), axis=1)
+            at = np.searchsorted(best.axes[j], limit, side="left" if sign == 1 else "right")
+            if sign == 1:
+                start[:, j] = np.clip(at, start[:, j], stop[:, j])
+            else:
+                stop[:, j] = np.clip(at, start[:, j], stop[:, j])
+        return start, stop - start
+
+    def corner_counts(cells, base, start, shape, sign):  # the open (sign 1) or closed (-1) count at each corner
+        m = len(cells)
+        stride = np.ones_like(shape)  # row-major within each cell
+        for j in range(d - 2, -1, -1):
+            stride[:, j] = stride[:, j + 1] * shape[:, j + 1]
+        size = shape.prod(axis=1)
+        owners, points = [], []
+        for j in range(d):  # each shell point once, on the first axis where it lies in (a_j, a_j + 1]
+            lo, hi = bucket[j][cells[:, j] + 1], bucket[j][cells[:, j] + 2]
+            t = np.repeat(np.arange(m), hi - lo)
+            p = order[j][np.arange(len(t)) + np.repeat(lo - np.cumsum(hi - lo) + (hi - lo), hi - lo)]
+            inside = (closed[p] <= cells[t] + 1).all(axis=1) & (closed[p, :j] <= cells[t, :j]).all(axis=1)
+            owners.append(t[inside])
+            points.append(p[inside])
+        t, p = np.concatenate(owners), np.concatenate(points)
+        # the first corner of the box at or above (closed) or above (open) each point, 0 below the box
+        at = np.maximum(rank[p] - start[t] + (sign == 1), 0)
+        inside = (at < shape[t]).all(axis=1)  # past the box on an axis: below no corner of it
+        at = (np.cumsum(size) - size)[t[inside]] + (at[inside] * stride[t[inside]]).sum(axis=1)
+        hist = np.bincount(at, minlength=int(size.sum()))
+        digits = _cell_prefix_sums(hist, shape)
+        index = tuple(np.repeat(start[:, j], size) + digits[j] for j in range(d))
+        return index, hist + np.repeat(base, size)
+
+    for cells, base, c_up, *sides in survivors():
+        held = np.all([c[a] > 0 for c, a in zip(count, cells.T)], axis=0)  # a corner on every axis
+        for sign, side in zip((1, -1), sides):
+            side = side & held
+            start, shape = box(cells[side], base[side], c_up[side], sign)
+            keep = shape.prod(axis=1) > 0
+            if not keep.any():
+                continue
+            args = cells[side][keep], base[side][keep], start[keep], shape[keep]
+            size = shape[keep].prod(axis=1)
+            batch = (np.cumsum(size) - size) // _CORNER_BATCH
+            edges = np.flatnonzero(np.diff(batch)) + 1
+            for a, b in zip([0, *edges], [*edges, len(batch)]):
+                index, counts = corner_counts(*(x[a:b] for x in args), sign)
+                best.add(index, sign, counts, sign * (best.nvol(index) - counts))
+    return best.value
+
+
+def star_disc_bracket(points, k: int, *, work_budget: int = DEFAULT_WORK_BUDGET) -> DiscrepancyResult:
+    """Enclose the star discrepancy on the corner lattice {0..k}^d / k, and
+    finish it exact when that costs at most the lattice.
+
+    ``lo`` is the exact maximum of the discrepancy function over the
+    lattice.  Every corner c in (0, 1]^d lies in one cell ``(a/k, b/k]``,
+    b = a + 1 on every axis, where its open side ``vol(c) - open(c)/N`` is
+    at most ``vol(b) - closed(a)/N`` (the points within a lie strictly below
+    c) and its closed side ``closed(c)/N - vol(c)`` at most
+    ``closed(b)/N - vol(a)``: together the cell bound of Thiemard (J.
+    Complexity 17, 2001).  A corner on an axis value 0 counts no more than a
+    lattice corner of volume 0.  So D* is at most ``hi``, the larger of
+    ``lo`` and the largest cell bound, and ``hi`` is at most ``lo + d/k``.
+    The lattice pass finds both, each by the float filter and exact recheck
+    of :class:`_ExactMax`.
+
+    A side of a cell whose float bound reaches ``lo`` less 2E (E the error
+    bound of :class:`_ExactMax`) may exceed ``lo`` at a corner inside.  If
+    the cells with such a side hold at most (k + 1)^d critical corners, those
+    sides are evaluated there and the result is exact: the larger of ``lo``
+    and their maximum.  Otherwise it is the bracket ``[lo, hi]`` at
+    resolution k.  A lattice of more than ``work_budget`` corners, (k + 1)^d,
+    is refused.
     """
     import numpy as np
 
@@ -472,18 +810,38 @@ def star_disc_bracket(points, k: int, *, work_budget: int = DEFAULT_WORK_BUDGET)
         raise ValidationError("bracket resolution must be >= 2")
     n, d = len(columns[0]), len(columns)
     _check_cells("bracket lattice", (k + 1) ** d, work_budget)
-    # Corner i/k is at or above a/s iff a <= floor(is/k), so the closed index
-    # ceil(ak/s) counts the corners with floor(is/k) < a: a search in rank
-    # space.  The lower index floor(ak/s) is one less unless a = ceil(is/k) there.
-    closed, lower = np.empty((n, d), dtype=np.int64), np.empty((n, d), dtype=np.int64)
-    for j, (col, s) in enumerate(zip(columns, scales)):
-        col = int_array(col, s)
-        closed[:, j] = np.searchsorted(int_array([i * s // k for i in range(k)], s), col)
-        ceil = int_array([-(-i * s // k) for i in range(k + 1)], s + 1)
-        lower[:, j] = closed[:, j] - (ceil[closed[:, j]] != col)
-    lo = _star_kernel([range(k + 1)] * d, [k] * d, closed, lower)
-    hi = min(lo + Fraction(d, k), Fraction(1))
-    return DiscrepancyResult("star", n, d, lo, hi, k, represented)
+    closed, lower = _lattice_indices(columns, scales, k)
+    values, bounds = (_ExactMax([range(k + 1)] * d, [k] * d, n) for _ in range(2))
+    block_bound = {}  # the largest float bound in each block
+    kept, stored = [], 0  # the cells with a side that reaches lo so far, while they are few
+    for r0, block, c_open, c_closed in _count_blocks(closed, lower, (k + 1,) * d):
+        cells = _block_cells(block, r0, bounds, values.add_rows(r0, c_open, c_closed))
+        if cells is None:
+            continue
+        first, (up, upper), (low, lower), c_low, c_up = cells
+        block_bound[r0] = top = max(bounds.add(up, 1, c_low, upper), bounds.add(low, -1, c_up, lower))
+        cutoff = float(n * values.value) - values.slack
+        if kept is not None and top >= cutoff:
+            kept.append(_cells_where((upper >= cutoff) | (lower >= cutoff), first, c_low, c_up, upper, lower))
+            stored += len(kept[-1][0])
+            if stored > _STORED_CELLS:  # drop the cells that lo has passed since; give up if still too many
+                kept = [_reaching(cells, cutoff) for cells in kept]
+                stored = sum(len(c) for c, *_ in kept)
+                kept = kept if stored <= _STORED_CELLS else None
+    lo = values.value
+    hi = max(lo, bounds.value)
+    if hi > lo:
+        cutoff = float(n * lo) - values.slack
+        if kept is None:  # find the cells again, in the blocks that hold some
+            starts = {r0 for r0, top in block_bound.items() if top >= cutoff}
+            survivors = lambda: _surviving_cells(closed, k, starts, bounds, cutoff)  # noqa: E731
+        else:
+            cells, base, c_up, upper, lower = _reaching([np.concatenate(x) for x in zip(*kept)], cutoff)
+            survivors = lambda: [(cells, base, c_up, upper >= cutoff, lower >= cutoff)]  # noqa: E731
+        finished = _finish_bracket(columns, scales, closed, k, survivors, cutoff)
+        if finished is not None:
+            lo = hi = max(lo, finished)
+    return DiscrepancyResult("star", n, d, lo, hi, None if lo == hi else k, represented)
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +948,12 @@ def compute_discrepancy(points, kind: str = "star", algo: str = "auto", k: int |
     star kind on the exact kernel while N^d is at most ``AUTO_EXACT_CAP``;
     beyond that it brackets the star kind at the largest resolution up to
     ``k`` (``DEFAULT_BRACKET_K`` when None) whose lattice of (k + 1)^d
-    corners fits the same cap.  Every kernel, chosen or explicit, refuses a
-    grid of more than ``work_budget`` cells with
+    corners fits the same cap.  A bracket, chosen here or asked for with
+    ``bracket``, comes back exact when the critical corners of its cells
+    that can beat the lattice maximum number at most (k + 1)^d (see
+    :func:`star_disc_bracket`); otherwise its ``hi`` is the largest cell
+    bound, at most the lattice maximum plus d/k.  Every kernel, chosen or
+    explicit, refuses a grid of more than ``work_budget`` cells with
     :class:`~lowdisc.errors.BudgetError` instead of degrading.
     """
     points = _as_columns(points)

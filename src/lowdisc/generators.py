@@ -253,8 +253,11 @@ def _digit_column(indices, q: int, m: int, matrix):
         for r0 in range(0, depth, g):
             word = 0
             for r in range(r0, min(r0 + g, depth)):
-                terms = (digits[c] if e == 1 else e * digits[c] for c, e in enumerate(matrix[r]) if e)
-                word = word * q + sum(terms) % q
+                terms = [(c, e) for c, e in enumerate(matrix[r]) if e]
+                if len(terms) == 1 and terms[0][1] == 1:  # a unit row copies its input digit
+                    word = word * q + digits[terms[0][0]]
+                else:
+                    word = word * q + sum(digits[c] if e == 1 else e * digits[c] for c, e in terms) % q
             out[s : s + _CHUNK] = out[s : s + _CHUNK] * q ** min(g, depth - r0) + word
     return int_column(out, q**depth)
 

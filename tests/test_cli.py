@@ -436,7 +436,9 @@ def test_experiment_plan_applies_k_override(tmp_path):
     code, out, _ = run_cli("experiment", "--plan", str(plan), "--k", "4")
     assert code == 0
     rows = [line.split(",") for line in out.splitlines()[1:]]
-    assert [(r[2], r[6]) for r in rows] == [("bracketed", "1/4")] * 2
+    # half widths at most d/2k = 1/4, and past the d/2k = 1/512 of the default k = 512
+    assert [r[2] for r in rows] == ["bracketed"] * 2
+    assert [r[6] for r in rows] == ["1/8", "3/16"]
 
 
 def test_experiment_rejects_plan_without_schedule(tmp_path):

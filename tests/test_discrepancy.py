@@ -45,6 +45,25 @@ def lattice_max(rows, k: int) -> Fraction:
     return best
 
 
+def cell_bound_max(rows, k: int) -> Fraction:
+    """The largest bound ``max(vol(b) - closed(a)/N, closed(b)/N - vol(a))``
+    over the lattice cells (a/k, b/k], b = a + 1, by direct counting."""
+    n, best = len(rows), Fraction(0)
+    for a in itertools.product(range(k), repeat=len(rows[0])):
+        low, up = [Fraction(i, k) for i in a], [Fraction(i + 1, k) for i in a]
+        within = [sum(all(x <= c for x, c in zip(p, corner)) for p in rows) for corner in (low, up)]
+        best = max(best, math.prod(up) - Fraction(within[0], n), Fraction(within[1], n) - math.prod(low))
+    return best
+
+
+def lattice_bracket(points, k: int) -> DiscrepancyResult:
+    """``star_disc_bracket`` stopped after its lattice pass, never finished:
+    ``[lo, hi]`` is the lattice maximum and the largest cell bound."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(discrepancy, "_finish_bracket", lambda *args: None)
+        return star_disc_bracket(points, k)
+
+
 # -- 1D formulas ---------------------------------------------------------------
 
 
@@ -150,7 +169,9 @@ def test_star_algorithms_agree_with_oracle_randomized():
         if len(rows[0]) == 2:
             assert star_disc_2d_sweep(rows).value == want
         for k in (2, 3, 5, 8) if len(rows[0]) == 2 else (3,):
-            assert star_disc_bracket(rows, k).lo == lattice_max(rows, k)
+            assert lattice_bracket(rows, k).lo == lattice_max(rows, k)
+            bracket = star_disc_bracket(rows, k)  # exact when it finishes, so lo == want == hi
+            assert bracket.lo <= want <= bracket.hi
 
 
 def test_extreme_grid_agrees_with_oracle_randomized():
@@ -231,8 +252,9 @@ def test_kernels_read_list_columns():
         exact = star_disc_exact(points)
         assert exact.value == brute_force_oracle(points) and exact == star_disc_exact(arrays)
         k = rng.choice((2, 5, 8))
-        assert star_disc_bracket(points, k) == star_disc_bracket(arrays, k)
-        assert star_disc_bracket(points, k).lo == lattice_max(points.rows(), k)
+        bracket = star_disc_bracket(points, k)
+        assert bracket == star_disc_bracket(arrays, k) and bracket.lo <= exact.value <= bracket.hi
+        assert lattice_bracket(points, k).lo == lattice_max(points.rows(), k)
         if d == 2:
             assert star_disc_2d_sweep(points) == exact
             extreme = extreme_disc_grid(points)
@@ -266,7 +288,9 @@ def test_bracket_indices_on_wide_scales_and_lattice_lines():
                           for _ in range(n)]
                 columns.append(int_array(values, s))
             points = Columns(tuple(columns), scales, ReprTag())
-            assert star_disc_bracket(points, k).lo == lattice_max(points.rows(), k)
+            assert lattice_bracket(points, k).lo == lattice_max(points.rows(), k)
+            bracket = star_disc_bracket(points, k)
+            assert bracket.lo <= brute_force_oracle(points) <= bracket.hi
 
 
 def test_ties_across_one_row_blocks(monkeypatch):
@@ -278,17 +302,20 @@ def test_ties_across_one_row_blocks(monkeypatch):
     wide = stream(Hybrid(Hammersley(233, (2,)), Lattice(233, (144,))), 0, 233)
 
     def values(points):
-        out = [star_disc_exact(points).value] + [star_disc_bracket(points, k).lo for k in (2, 4, 16)]
+        out = [star_disc_exact(points).value] + [lattice_bracket(points, k).lo for k in (2, 4, 16)]
+        out += [star_disc_bracket(points, k) for k in (2, 4, 16)]
         return out + [extreme_disc_grid(points).value] if points.dim == 2 else out
 
-    default = [values(p) for p in sets] + [star_disc_bracket(wide, 32).lo]
+    default = [values(p) for p in sets] + [star_disc_bracket(wide, 32)]
     monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", 1)
-    assert [values(p) for p in sets] + [star_disc_bracket(wide, 32).lo] == default
+    assert [values(p) for p in sets] + [star_disc_bracket(wide, 32)] == default
     for points, got in zip(sets, default):
         assert got[0] == brute_force_oracle(points, "star")
         assert got[1:4] == [lattice_max(points.rows(), k) for k in (2, 4, 16)]
+        assert all(r.lo <= got[0] <= r.hi for r in got[4:7])
         if points.dim == 2:
-            assert got[4] == brute_force_oracle(points, "extreme")
+            assert got[7] == brute_force_oracle(points, "extreme")
+    assert default[-1].lo <= star_disc_exact(wide).value <= default[-1].hi
 
 
 def test_bracket_contains_exact_value():
@@ -300,6 +327,21 @@ def test_bracket_contains_exact_value():
     br = star_disc_bracket(single, 4)
     assert br.lo >= Fraction(1, 2)
     assert br.lo <= Fraction(3, 4) <= br.hi
+
+
+def test_bracket_hi_is_the_largest_cell_bound():
+    """An unfinished bracket's hi is the largest cell bound, no more than
+    lo + d/k; a finished one is the exact value."""
+    rng = random.Random(97)
+    for d, ks in ((1, (2, 3, 8)), (2, (2, 3, 5)), (3, (2, 3))):
+        for _ in range(6):
+            rows = rand_rows(rng, rng.randrange(1, 9 if d < 3 else 6), d)
+            exact = brute_force_oracle(rows)
+            for k in ks:
+                lattice = lattice_bracket(rows, k)
+                assert lattice.hi == max(lattice_max(rows, k), cell_bound_max(rows, k)) <= lattice.lo + Fraction(d, k)
+                bracket = star_disc_bracket(rows, k)
+                assert bracket == lattice if bracket.resolution else bracket.value == exact
 
 
 def test_bracket_refinement_is_monotone():
@@ -372,10 +414,18 @@ def test_auto_is_exact_while_n_to_the_d_fits_the_cap():
     for n in (48, 215):
         points = stream(spec, 0, n)
         assert compute_discrepancy(points) == star_disc_exact(points)
+    # past the cap auto brackets at k = 214 (215^3 <= 10^7 < 216^3); the bracket finishes:
+    # 1,144 critical corners are left of its 9,938,375
     points = stream(spec, 0, 216)
-    r = compute_discrepancy(points)
-    assert r.mode == "bracketed" and r.resolution == 214  # 215^3 <= 10^7 < 216^3
-    assert r.lo <= star_disc_exact(points).value <= r.hi
+    assert compute_discrepancy(points) == star_disc_bracket(points, 214) == star_disc_exact(points)
+
+
+def test_auto_3d_finishes_the_bracket_past_the_cap():
+    """Halton(2, 3, 5) at N = 300: auto brackets at k = 214, and 54,336 of
+    the 9,938,375 lattice corners are left, so it finishes at the value of
+    the 301^3-corner sweep."""
+    value = Fraction(641, 20000)
+    assert compute_discrepancy(stream(Halton((2, 3, 5)), 0, 300)) == DiscrepancyResult("star", 300, 3, value, value)
 
 
 def test_auto_2d_switches_to_the_bracket_past_n_3162():
@@ -433,7 +483,7 @@ def test_compute_dispatcher_routes():
     rows2 = [(Fraction(1, 2), Fraction(1, 2))]
     assert compute_discrepancy(rows2).value == Fraction(3, 4)
     r = compute_discrepancy(rows2, algo="bracket", k=8)
-    assert r.mode == "bracketed" and r.resolution == 8
+    assert r == star_disc_bracket(rows2, 8) and r.value == Fraction(3, 4)  # finished
     with pytest.raises(ValidationError):
         compute_discrepancy(eq, kind="extreme", algo="bracket")
     with pytest.raises(ValidationError):
@@ -467,8 +517,8 @@ def test_requests_are_checked_once_the_dimension_is_known():
     for points, request, message in refused:
         with pytest.raises(ValidationError, match=message):
             compute_discrepancy(points, **request)
-    # an explicit bracket runs in d = 1; auto takes k in d >= 2 and here runs exact
-    assert compute_discrepancy(eq, algo="bracket", k=8).mode == "bracketed"
+    # an explicit bracket runs in d = 1, and here finishes; auto takes k in d >= 2 and here runs exact
+    assert compute_discrepancy(eq, algo="bracket", k=8) == star_disc_bracket(eq, 8) == star_disc_1d(eq)
     assert compute_discrepancy(rows2, k=2).value == Fraction(3, 4)
     with pytest.raises(ValidationError, match="empty point set"):
         compute_discrepancy([], k=8)
@@ -503,10 +553,10 @@ def test_result_json_shape():
         "value": "1/4",
         "resolution": None,
     }
-    br = compute_discrepancy([(Fraction(1, 2), Fraction(1, 2))], algo="bracket", k=4)
+    br = compute_discrepancy(stream(Halton((2, 3)), 0, 16), algo="bracket", k=4)
     data = json.loads(br.to_json())
     assert data["mode"] == "bracketed"
-    assert data["value"] == ["3/4", "1"]
+    assert data["value"] == ["3/16", "7/16"]
     assert data["resolution"] == 4
 
 

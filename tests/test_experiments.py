@@ -376,5 +376,6 @@ def test_preset_hammersley_lattice():
     assert plan.spec.dim == 3
     assert plan.algo == "bracket"
     rows = run_scaling(plan)
-    assert rows[0].result.mode == "bracketed"
-    assert rows[0].result.hi - rows[0].result.lo <= Fraction(3, 128)
+    # the k = 128 bracket finishes: inside its lattice bracket, and equal to the 234^3-corner sweep
+    assert rows[0].result.mode == "exact" and rows[0].result.value == Fraction(276753, 6948992)
+    assert Fraction(1112455, 30539776) <= rows[0].result.value <= Fraction(1828231, 30539776)

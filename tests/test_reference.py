@@ -2,9 +2,10 @@
 metamorphic relations the exact kernels must keep.
 
 ``brute_force_oracle`` stops at N = 8.  The reference here counts the
-closed and open boxes at every critical corner with an einsum of per-axis
-0/1 indicator matrices and takes the maximum in Python ints: no ranks, no
-prefix sums and no floats, so it shares no code with ``_star_kernel``.
+closed and open boxes at every corner of a grid (the critical corners, or
+the bracket lattice {0..k}^d / k) with an einsum of per-axis 0/1 indicator
+matrices and takes the maximum in Python ints: no ranks, no prefix sums and
+no floats, so it shares no code with ``_star_kernel`` or the bracket.
 """
 
 from __future__ import annotations
@@ -23,31 +24,54 @@ from lowdisc.experiments import preset
 from lowdisc.generators import EXACT, Columns, int_column, int_list, stream
 
 
-def reference_star(columns, scales) -> Fraction:
-    """D* of the points ``columns[j][i] / scales[j]``: the maximum over every
-    corner (each axis's distinct values plus its scale) of ``N V - open S``
-    and ``closed S - N V``, over ``N S``, where V is the product of the
-    corner's integer coordinates and S that of the scales."""
+def reference_max(columns, scales, corners, units) -> Fraction:
+    """The maximum of ``vol - open/N`` and ``closed/N - vol`` over the grid
+    of ``corners``, the numerators ``corners[j]`` over ``units[j]`` on axis
+    j, for the points ``columns[j][i] / scales[j]``: ``N V - open U`` and
+    ``closed U - N V`` over ``N U``, where V is the product of a corner's
+    numerators and U that of the units."""
     n, d = len(columns[0]), len(columns)
-    closed, open_, corners = [], [], []
-    for col, scale in zip(columns, scales):
-        xs = np.array(int_list(col), dtype=object)
-        cs = np.array(sorted(set(xs.tolist())) + [scale], dtype=object)
+    closed, open_ = [], []
+    for col, scale, cs, unit in zip(columns, scales, corners, units):
+        xs = np.array(int_list(col), dtype=object) * unit  # x <= c iff x_num unit <= c_num scale
+        cs = np.array(cs, dtype=object) * scale
         closed.append((xs[None, :] <= cs[:, None]).astype(np.int64))
         open_.append((xs[None, :] < cs[:, None]).astype(np.int64))
-        corners.append(cs)
     axes = "abcdefgh"[:d]
     subscripts = ",".join(a + "p" for a in axes) + "->" + axes
     c_closed = np.einsum(subscripts, *closed).astype(object)
     c_open = np.einsum(subscripts, *open_).astype(object)
-    nvol = n * reduce(np.multiply.outer, corners)
-    s = math.prod(scales)
-    return Fraction(max((nvol - c_open * s).max(), (c_closed * s - nvol).max()), n * s)
+    nvol = n * reduce(np.multiply.outer, [np.array(cs, dtype=object) for cs in corners])
+    u = math.prod(units)
+    return Fraction(max((nvol - c_open * u).max(), (c_closed * u - nvol).max()), n * u)
+
+
+def reference_star(columns, scales) -> Fraction:
+    """D* of the points ``columns[j][i] / scales[j]``: the maximum over every
+    critical corner, each axis's distinct values plus its scale."""
+    corners = [sorted(set(int_list(col))) + [scale] for col, scale in zip(columns, scales)]
+    return reference_max(columns, scales, corners, scales)
+
+
+def reference_lattice(columns, scales, k: int) -> Fraction:
+    """The maximum over the bracket lattice {0..k}^d / k."""
+    return reference_max(columns, scales, [range(k + 1)] * len(columns), [k] * len(columns))
 
 
 def exact_columns(values, scales) -> Columns:
     """Exact columns of per-axis value lists over ``scales``."""
     return Columns(tuple(int_column(v, s) for v, s in zip(values, scales)), tuple(scales), EXACT)
+
+
+def lattice_set(rng: random.Random, n: int, scales, k: int) -> Columns:
+    """n points whose coordinates mostly sit at 0, on or next to a lattice
+    line i/k, or in the last cell ((k - 1)/k, 1)."""
+    values = []
+    for s in scales:
+        pool = [0, s - 1, s - 2] + [i * s // k + t for i in range(1, k) for t in (-1, 0, 1)]
+        pool = [v for v in pool if 0 <= v < s]
+        values.append([rng.choice(pool) if rng.random() < 0.7 else rng.randrange(s) for _ in range(n)])
+    return exact_columns(values, scales)
 
 
 def random_set(rng: random.Random, n: int, scales) -> Columns:
@@ -112,13 +136,58 @@ def test_exact_routes_match_the_reference(name, block, monkeypatch):
             assert star_disc_2d_sweep(points).value == want
 
 
+def lattice_bracket(points, k: int):
+    """``star_disc_bracket`` stopped after its lattice pass, never finished."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(discrepancy, "_finish_bracket", lambda *args: None)
+        return star_disc_bracket(points, k)
+
+
 @pytest.mark.parametrize("name", CASES)
 def test_brackets_contain_the_reference(name):
+    """Each bracket keeps the lattice maximum as the lo of its lattice pass,
+    and finishes at the reference value or contains it."""
     for points in case_sets(name, count=2):
         want = reference_star(points.columns, points.scales)
         for k in (2, 5, 16):
+            lattice = lattice_bracket(points, k)
+            assert lattice.lo == reference_lattice(points.columns, points.scales, k)
+            assert lattice.lo <= want <= lattice.hi
             r = star_disc_bracket(points, k)
-            assert r.lo <= want <= r.hi
+            assert r == lattice if r.resolution else r.value == want
+
+
+# (stored cells, cells per block, corners per batch): the defaults, then every cell found
+# again block by block, blocks of one axis-0 row, and a batch per cell
+FINISH_PATHS = [None, (0, None, None), (0, 1, 1), (None, 7, 3)]
+
+
+@pytest.mark.parametrize("path", FINISH_PATHS, ids=["default", "found-again", "one-row-blocks", "small-batches"])
+def test_finished_brackets_match_the_reference(path, monkeypatch):
+    """Seeded d = 2 and d = 3 sets over tie-heavy scales, 2^70 + 3 and a
+    scale on every lattice line, with coordinates at 0, on and next to the
+    lines i/k and in the last cell, at every k from 2 to 16."""
+    for name, value in zip(("_STORED_CELLS", "_BLOCK_CELLS", "_CORNER_BATCH"), path or ()):
+        if value is not None:
+            monkeypatch.setattr(discrepancy, name, value)
+    rng = random.Random(f"finish-{path}")
+    finished = 0
+    for k in range(2, 17):
+        for scales in ((8, 30), (2**70 + 3, 720720), (720720, 8, 2**70 + 3)):
+            for _ in range(2):
+                points = lattice_set(rng, rng.randrange(1, 24 if len(scales) == 2 else 12), scales, k)
+                want = reference_star(points.columns, points.scales)
+                r = star_disc_bracket(points, k)
+                assert r.lo <= want <= r.hi
+                finished += r.resolution is None
+    assert finished >= 40  # of 90: the finishing itself is checked, not only containment
+
+
+def test_a_finished_bracket_matches_the_sweep_on_c1():
+    """C1 at N = 7776 finishes at k = 512 (116,455 critical corners of the
+    263,169 lattice corners survive) and equals the 0.65 s sweep."""
+    points = stream(preset("c1-counterexample").spec, 0, 7776)
+    assert star_disc_bracket(points, 512) == star_disc_exact(points)
 
 
 def _permute_points(points: Columns, rng: random.Random) -> Columns:
