@@ -16,8 +16,7 @@ and :func:`star_disc_bracket` differ only in the corner grid they hand it.
   distinct coordinates plus 1, or the lattice i/k of a bracket), and each
   point becomes two indices per axis, the first corner at or above it
   (closed counting) and the last corner at or below it (strict counting);
-  a bracket divides in int64 where ak fits, else it finds them by binary
-  search, forming no per-point products.
+  a bracket finds them by binary search, forming no per-point products.
 * Blocked prefix sums: the counts at every corner are prefix sums of a
   histogram over rank space (Dobkin, Eppstein and Mitchell, ACM TOG 15(4),
   1996), summed one block of axis-0 rows at a time with a copy of the last
@@ -34,8 +33,9 @@ also bounds every cell ``(a/k, b/k]``, b = a + 1: no corner inside exceeds
 Complexity 17, 2001).  Its ``hi`` is the largest bound, rechecked in
 integers, which is tighter than the lattice maximum plus d/k.  The cells
 whose bound can reach the lattice maximum hold some critical corners; if
-they number at most (k + 1)^d, the bracket evaluates them on the same
-float filter and exact recheck and returns the exact value.
+they and the points of the cells' slabs number at most (k + 1)^d, the
+bracket evaluates the corners on the same float filter and exact recheck
+and returns the exact value.
 
 The extreme kind in d >= 2 (:func:`extreme_disc_grid`) runs the same
 filter and recheck over every lower/upper corner pair, counting each box by
@@ -241,11 +241,12 @@ def extreme_disc_1d(points) -> DiscrepancyResult:
 # holds at least one axis-0 row.
 _BLOCK_CELLS = 1 << 14
 
-# Cells a bracket keeps from its lattice pass to finish from; past this many
-# it finds its surviving cells again, block by block.  It evaluates their
-# corners in batches of about _CORNER_BATCH, each holding some thirty arrays
-# of that length.
-_STORED_CELLS = 1 << 13
+# A finishing bracket keeps the cells it counts, while they number at most
+# _KEPT_CELLS, so as not to find them again block by block: that saved 30 ms
+# of the 100 ms hammersley-lattice bracket (x86-64, 2 vCPUs).  It evaluates
+# them in batches of about _CORNER_BATCH corners and slab points (or of one
+# cell), each holding some thirty arrays of that length.
+_KEPT_CELLS = 1 << 13
 _CORNER_BATCH = 1 << 12
 
 
@@ -257,8 +258,8 @@ def _prefix_counts(index, shape, starts=None):
     ``block[0]`` repeats the last row of the previous block: a histogram over
     rank space, summed one block at a time with the last row carried over.
     Given a set of block ``starts``, only those blocks are yielded; the
-    points of the rows skipped before one are added to the carried row by a
-    histogram of their own, so no skipped row is summed.
+    points of the rows skipped before one are entered in its first row,
+    beside the carry, so no skipped row is summed.
     """
     import numpy as np
 
@@ -272,19 +273,15 @@ def _prefix_counts(index, shape, starts=None):
     for r0 in range(0, shape[0], step):
         if starts is not None and r0 not in starts:
             continue
-        if done < r0:
-            lo, hi = np.searchsorted(flat, ((done + 1) * row_cells, (r0 + 1) * row_cells))
-            skipped = np.bincount(flat[lo:hi] % row_cells, minlength=row_cells).reshape(row)
-            for axis in range(len(row)):
-                np.cumsum(skipped, axis=axis, out=skipped)
-            carry += skipped
         r1 = min(r0 + step, shape[0])
-        lo, hi = np.searchsorted(flat, ((r0 + 1) * row_cells, (r1 + 1) * row_cells))
-        block = np.bincount(flat[lo:hi] - r0 * row_cells, minlength=(r1 - r0 + 1) * row_cells)
+        lo, hi = np.searchsorted(flat, ((done + 1) * row_cells, (r1 + 1) * row_cells))
+        at = flat[lo:hi] - r0 * row_cells  # below row_cells for the skipped rows: fold them onto row 0
+        block = np.bincount(np.maximum(at, at % row_cells), minlength=(r1 - r0 + 1) * row_cells)
         block = block.reshape((r1 - r0 + 1,) + row)
+        rows = block if done < r0 else block[1:]
         for axis in range(1, len(padded)):
-            np.cumsum(block[1:], axis=axis, out=block[1:])
-        block[0] = carry
+            np.cumsum(rows, axis=axis, out=rows)
+        block[0] += carry
         if row_cells >= 512:  # numpy's cumsum along axis 0 is slow on long rows: add them one by one
             for i in range(1, len(block)):
                 block[i] += block[i - 1]
@@ -412,29 +409,6 @@ def _star_kernel(corners, scales, closed, lower) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _distinct(col):
-    """The sorted distinct values of a column: a list of a list column (as
-    Python ints, four times faster than ``np.unique`` on objects), else an
-    array (by a sort, ten times faster than numpy 2's hashing ``np.unique``
-    on 46,656 int64 values)."""
-    import numpy as np
-
-    if isinstance(col, list):
-        return sorted(set(col))
-    values = np.sort(col)
-    return values[np.concatenate(([True], values[1:] != values[:-1]))]
-
-
-def _ranks(col, values):
-    """The index of each value of a column in its sorted distinct ``values``."""
-    import numpy as np
-
-    if isinstance(col, list):
-        at = dict(zip(values, range(len(values))))
-        return np.array([at[v] for v in col], dtype=np.int64)
-    return np.searchsorted(values, col)
-
-
 def _critical_grid(columns, scales) -> tuple[list[list[int]], np.ndarray]:
     """Corners are each axis's distinct values plus the scale; a point's
     closed index is its rank among them (its open index is that plus one)."""
@@ -442,9 +416,9 @@ def _critical_grid(columns, scales) -> tuple[list[list[int]], np.ndarray]:
 
     corners, closed = [], []
     for col, scale in zip(columns, scales):
-        values = _distinct(col)
-        corners.append(list(values) + [scale] if isinstance(col, list) else values.tolist() + [scale])
-        closed.append(_ranks(col, values))
+        values, rank = np.unique(int_array(col, scale), return_inverse=True)
+        corners.append(values.tolist() + [scale])
+        closed.append(rank)
     return corners, np.stack(closed, axis=1).astype(np.int64)
 
 
@@ -560,20 +534,16 @@ def _lattice_indices(columns, scales, k: int):
     """The closed and lower index of every point on the lattice {0..k}/k,
     ceil(ak/s) and floor(ak/s) for a numerator a over the scale s.
 
-    While ak fits int64 they are one vectorized division.  Otherwise corner
-    i/k is at or above a/s iff a <= floor(is/k), so the closed index counts
-    the corners with floor(is/k) < a: a search in rank space, which forms no
-    per-point products.  The lower index is one less unless a = ceil(is/k).
+    Corner i/k is at or above a/s iff a <= floor(is/k), so the closed index
+    counts the corners with floor(is/k) < a: a search in rank space, which
+    forms no per-point products.  The lower index is one less unless
+    a = ceil(is/k).
     """
     import numpy as np
 
     n, d = len(columns[0]), len(columns)
     closed, lower = np.empty((n, d), dtype=np.int64), np.empty((n, d), dtype=np.int64)
     for j, (col, s) in enumerate(zip(columns, scales)):
-        if not isinstance(col, list) and s * k <= 1 << 63:
-            lower[:, j], rest = np.divmod(col * k, s)
-            closed[:, j] = lower[:, j] + (rest != 0)
-            continue
         col = int_array(col, s)
         closed[:, j] = np.searchsorted(int_array([i * s // k for i in range(k)], s), col)
         ceil = int_array([-(-i * s // k) for i in range(k + 1)], s + 1)
@@ -604,33 +574,32 @@ def _block_cells(block, r0: int, bounds: _ExactMax, nvol=None):
     return first, (up, upper), (low, lower), c_low, c_up
 
 
-def _cells_where(keep, first: int, *arrays):
-    """The cells of a block where ``keep`` holds, as rows of their lower
-    corners a (the block's cells start at row ``first``), and the entries of
-    each of ``arrays`` there."""
-    import numpy as np
-
-    hit = np.unravel_index(np.flatnonzero(keep), keep.shape)
-    cells = np.stack(hit, axis=1)
-    cells[:, 0] += first
-    return (cells, *(a[hit] for a in arrays))
-
-
-def _reaching(cells, cutoff: float):
-    """Those of ``cells = (cells, closed(a), closed(a + 1), upper, lower)``
-    with a side whose float bound reaches ``cutoff``."""
-    keep = (cells[3] >= cutoff) | (cells[4] >= cutoff)
-    return [x[keep] for x in cells]
-
-
 def _surviving_cells(closed, k: int, starts, bounds: _ExactMax, cutoff: float):
     """Yield, for each block from ``starts``, the cells where the float bound
-    of a side reaches ``cutoff``, their counts ``closed(a)`` and
-    ``closed(a + 1)``, and which sides do."""
+    of a side reaches ``cutoff``, as rows of their lower corners a, their
+    counts ``closed(a)`` and ``closed(a + 1)``, and which sides do."""
+    import numpy as np
+
     for r0, block in _prefix_counts(closed, (k + 1,) * closed.shape[1], starts):
         first, (_, upper), (_, lower), c_low, c_up = _block_cells(block, r0, bounds)
         upper, lower = upper >= cutoff, lower >= cutoff
-        yield _cells_where(upper | lower, first, c_low, c_up, upper, lower)
+        hit = np.unravel_index(np.flatnonzero(upper | lower), upper.shape)
+        cells = np.stack(hit, axis=1)
+        cells[:, 0] += first
+        yield cells, c_low[hit], c_up[hit], upper[hit], lower[hit]
+
+
+def _distinct(col, scale: int):
+    """The sorted distinct values of a column, as an array: of a list column
+    by sorting its set of Python ints (four times faster than ``np.unique``
+    on objects), else by a sort (ten times faster than numpy 2's hashing
+    ``np.unique`` on 46,656 int64 values)."""
+    import numpy as np
+
+    if isinstance(col, list):
+        return int_array(sorted(set(col)), scale)
+    values = np.sort(col)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
 
 
 def _cell_prefix_sums(hist, shape):
@@ -670,20 +639,24 @@ def _cell_prefix_sums(hist, shape):
     return digits
 
 
-def _finish_bracket(columns, scales, closed, k: int, survivors, cutoff: float):
+def _finish_bracket(columns, scales, closed, k: int, starts, bounds: _ExactMax, cutoff: float):
     """The exact maximum over the critical corners inside the cells that
-    ``survivors()`` yields, in blocks of ``(cells, closed(a), closed(a + 1),
-    open side, closed side)``, a cell as the row of its lower corner a and
-    each side a mask of the cells where that side may reach ``cutoff``; or
-    None when the cells hold more than the lattice's (k + 1)^d corners.
+    :func:`_surviving_cells` finds from ``starts``, each side evaluated in
+    the cells where it may reach ``cutoff``; or None when that costs more
+    than the lattice: when the cells' corners and the points of their slabs
+    number more than (k + 1)^d.  The cells are counted on one pass over
+    their blocks; those with corners are kept for the evaluation while they
+    number at most ``_KEPT_CELLS``, and otherwise found again.
 
     On axis j the cell ``(a_j/k, (a_j + 1)/k]`` holds the distinct
     coordinates in it, and the last cell the scale too.  A corner c in cell
     a counts the points of ``closed(a)``, which all lie below c, and those
     points of the cell's shell (within a + 1 on every axis but not within a)
-    that lie below c.  Each shell point is entered in a histogram over the
-    cell's own corners at the first corner at or above it (closed counting)
-    or above it (open counting), and the histogram is prefix-summed.
+    that lie below c.  The shell is drawn from the cell's d slabs, the
+    points with ``x_j`` in ``(a_j/k, (a_j + 1)/k]``, each side walking them
+    once.  Each shell point is entered in a histogram over the cell's own
+    corners at the first corner at or above it (closed counting) or above it
+    (open counting), and the histogram is prefix-summed.
 
     Each side is evaluated on a box of the cell's corners only.  The open
     side at c is at most ``N vol(c) - closed(a)``, so on each axis the
@@ -696,32 +669,39 @@ def _finish_bracket(columns, scales, closed, k: int, survivors, cutoff: float):
     import numpy as np
 
     n, d = closed.shape
-    distinct = [None] * d
+    distinct = [_distinct(col, s) for col, s in zip(columns, scales)]
     first, count = [], []  # per axis and cell, the index of its first corner and how many it holds
-    for j, (col, s) in enumerate(zip(columns, scales)):
-        # edges[i]: the corners within i/k, for i < k, then all coordinate corners
-        if isinstance(col, list) and len(set(col)) == n:  # one corner per point: no sort of wide values
-            edges = np.cumsum(np.bincount(closed[:, j], minlength=k + 1))
-        else:
-            distinct[j] = _distinct(col)
-            lines = int_array([i * s // k for i in range(k)], s)  # x <= i/k iff its numerator is at most these
-            edges = np.append(np.searchsorted(int_array(distinct[j], s), lines, side="right"), len(distinct[j]))
-        edges[k] += 1  # the last cell holds the scale too
+    for values, s in zip(distinct, scales):
+        # edges[i]: the corners within i/k, for i < k, then every corner, the scale in the last cell
+        lines = int_array([i * s // k for i in range(k)], s)  # x <= i/k iff its numerator is at most these
+        edges = np.append(np.searchsorted(values, lines, side="right"), len(values) + 1)
         first.append(edges[:-1])
         count.append(np.diff(edges))
+    line = [np.bincount(closed[:, j], minlength=k + 1) for j in range(d)]  # the points of each closed index
+
+    def slabs(cells):  # the points in the slabs of each cell
+        return sum(l[a + 1] for l, a in zip(line, cells.T))
 
     total = 0.0  # in float64: exact below 2^53, and past it over budget anyway
-    for cells, *_ in survivors():
-        total += float(reduce(operator.mul, (c[a].astype(float) for c, a in zip(count, cells.T))).sum())
+    kept, n_kept = [], 0  # the cells with a corner on every axis, while they are few
+    for found in _surviving_cells(closed, k, starts, bounds, cutoff):
+        size = reduce(operator.mul, (c[a].astype(float) for c, a in zip(count, found[0].T)))
+        total += float(size.sum() + slabs(found[0])[size > 0].sum())
         if total > (k + 1) ** d:
             return None
+        if kept is not None:
+            kept.append([x[size > 0] for x in found])
+            n_kept += len(kept[-1][0])
+            kept = kept if n_kept <= _KEPT_CELLS else None
+    if kept is None:  # too many to keep: find them again
+        blocks = _surviving_cells(closed, k, starts, bounds, cutoff)
+    else:
+        blocks = [[np.concatenate(x) for x in zip(*kept)]] if kept else []
 
-    distinct = [_distinct(col) if v is None else v for col, v in zip(columns, distinct)]
-    rank = np.stack([_ranks(col, values) for col, values in zip(columns, distinct)], axis=1)
+    rank = np.stack([np.searchsorted(v, int_array(col, s)) for v, col, s in zip(distinct, columns, scales)], axis=1)
     order = [np.argsort(closed[:, j], kind="stable") for j in range(d)]  # the points by closed lattice index
-    bucket = [np.searchsorted(closed[o, j], np.arange(k + 2)) for j, o in enumerate(order)]
-    corners = [list(v) + [s] if isinstance(v, list) else v.tolist() + [s] for v, s in zip(distinct, scales)]
-    best = _ExactMax(corners, scales, n)
+    bucket = [np.concatenate(([0], np.cumsum(l))) for l in line]  # where each closed index starts in order
+    best = _ExactMax([v.tolist() + [s] for v, s in zip(distinct, scales)], scales, n)
 
     def box(cells, base, c_up, sign):  # each cell's first corner and corners per axis for one side
         start = np.stack([f[a] for f, a in zip(first, cells.T)], axis=1)
@@ -761,7 +741,7 @@ def _finish_bracket(columns, scales, closed, k: int, survivors, cutoff: float):
         index = tuple(np.repeat(start[:, j], size) + digits[j] for j in range(d))
         return index, hist + np.repeat(base, size)
 
-    for cells, base, c_up, *sides in survivors():
+    for cells, base, c_up, *sides in blocks:
         held = np.all([c[a] > 0 for c, a in zip(count, cells.T)], axis=0)  # a corner on every axis
         for sign, side in zip((1, -1), sides):
             side = side & held
@@ -770,8 +750,8 @@ def _finish_bracket(columns, scales, closed, k: int, survivors, cutoff: float):
             if not keep.any():
                 continue
             args = cells[side][keep], base[side][keep], start[keep], shape[keep]
-            size = shape[keep].prod(axis=1)
-            batch = (np.cumsum(size) - size) // _CORNER_BATCH
+            weight = shape[keep].prod(axis=1) + slabs(args[0])  # a batch is capped by corners and points
+            batch = (np.cumsum(weight) - weight) // _CORNER_BATCH
             edges = np.flatnonzero(np.diff(batch)) + 1
             for a, b in zip([0, *edges], [*edges, len(batch)]):
                 index, counts = corner_counts(*(x[a:b] for x in args), sign)
@@ -796,15 +776,15 @@ def star_disc_bracket(points, k: int, *, work_budget: int = DEFAULT_WORK_BUDGET)
     of :class:`_ExactMax`.
 
     A side of a cell whose float bound reaches ``lo`` less 2E (E the error
-    bound of :class:`_ExactMax`) may exceed ``lo`` at a corner inside.  If
-    the cells with such a side hold at most (k + 1)^d critical corners, those
-    sides are evaluated there and the result is exact: the larger of ``lo``
-    and their maximum.  Otherwise it is the bracket ``[lo, hi]`` at
-    resolution k.  A lattice of more than ``work_budget`` corners, (k + 1)^d,
-    is refused.
+    bound of :class:`_ExactMax`) may exceed ``lo`` at a corner inside.  The
+    cells with such a side are found again in the blocks that hold some.
+    If their critical corners and the points of their slabs, from which
+    each side draws its shell, number at most (k + 1)^d, those sides are
+    evaluated there and the result is exact: the larger of ``lo`` and their
+    maximum.  Otherwise it is the bracket ``[lo, hi]`` at resolution k.  A
+    lattice of more than ``work_budget`` corners, (k + 1)^d, is refused, so
+    the budget bounds the finishing too.
     """
-    import numpy as np
-
     columns, scales, represented = _normalize(points)
     if k < 2:
         raise ValidationError("bracket resolution must be >= 2")
@@ -813,32 +793,17 @@ def star_disc_bracket(points, k: int, *, work_budget: int = DEFAULT_WORK_BUDGET)
     closed, lower = _lattice_indices(columns, scales, k)
     values, bounds = (_ExactMax([range(k + 1)] * d, [k] * d, n) for _ in range(2))
     block_bound = {}  # the largest float bound in each block
-    kept, stored = [], 0  # the cells with a side that reaches lo so far, while they are few
     for r0, block, c_open, c_closed in _count_blocks(closed, lower, (k + 1,) * d):
         cells = _block_cells(block, r0, bounds, values.add_rows(r0, c_open, c_closed))
-        if cells is None:
-            continue
-        first, (up, upper), (low, lower), c_low, c_up = cells
-        block_bound[r0] = top = max(bounds.add(up, 1, c_low, upper), bounds.add(low, -1, c_up, lower))
-        cutoff = float(n * values.value) - values.slack
-        if kept is not None and top >= cutoff:
-            kept.append(_cells_where((upper >= cutoff) | (lower >= cutoff), first, c_low, c_up, upper, lower))
-            stored += len(kept[-1][0])
-            if stored > _STORED_CELLS:  # drop the cells that lo has passed since; give up if still too many
-                kept = [_reaching(cells, cutoff) for cells in kept]
-                stored = sum(len(c) for c, *_ in kept)
-                kept = kept if stored <= _STORED_CELLS else None
+        if cells is not None:
+            _, (up, open_side), (low, closed_side), c_low, c_up = cells
+            block_bound[r0] = max(bounds.add(up, 1, c_low, open_side), bounds.add(low, -1, c_up, closed_side))
     lo = values.value
     hi = max(lo, bounds.value)
     if hi > lo:
         cutoff = float(n * lo) - values.slack
-        if kept is None:  # find the cells again, in the blocks that hold some
-            starts = {r0 for r0, top in block_bound.items() if top >= cutoff}
-            survivors = lambda: _surviving_cells(closed, k, starts, bounds, cutoff)  # noqa: E731
-        else:
-            cells, base, c_up, upper, lower = _reaching([np.concatenate(x) for x in zip(*kept)], cutoff)
-            survivors = lambda: [(cells, base, c_up, upper >= cutoff, lower >= cutoff)]  # noqa: E731
-        finished = _finish_bracket(columns, scales, closed, k, survivors, cutoff)
+        starts = {r0 for r0, top in block_bound.items() if top >= cutoff}
+        finished = _finish_bracket(columns, scales, closed, k, starts, bounds, cutoff)
         if finished is not None:
             lo = hi = max(lo, finished)
     return DiscrepancyResult("star", n, d, lo, hi, None if lo == hi else k, represented)
@@ -950,8 +915,9 @@ def compute_discrepancy(points, kind: str = "star", algo: str = "auto", k: int |
     ``k`` (``DEFAULT_BRACKET_K`` when None) whose lattice of (k + 1)^d
     corners fits the same cap.  A bracket, chosen here or asked for with
     ``bracket``, comes back exact when the critical corners of its cells
-    that can beat the lattice maximum number at most (k + 1)^d (see
-    :func:`star_disc_bracket`); otherwise its ``hi`` is the largest cell
+    that can beat the lattice maximum, with the points of their slabs,
+    number at most (k + 1)^d (see :func:`star_disc_bracket`); otherwise
+    its ``hi`` is the largest cell
     bound, at most the lattice maximum plus d/k.  Every kernel, chosen or
     explicit, refuses a grid of more than ``work_budget`` cells with
     :class:`~lowdisc.errors.BudgetError` instead of degrading.

@@ -344,6 +344,22 @@ def test_bracket_hi_is_the_largest_cell_bound():
                 assert bracket == lattice if bracket.resolution else bracket.value == exact
 
 
+def test_finishing_counts_the_slab_points_it_walks():
+    """Points on ten values per axis, as from a file of two decimals: the
+    cells that can beat lo hold at most 121 critical corners, far below the
+    65^2 lattice corners, but each cell's slabs hold 2N/10 points.  At
+    N = 100 they fit the budget and the bracket finishes; at N = 20,000 they
+    do not, and it stays bracketed."""
+    rng = random.Random(5)
+    for n, finishes in ((100, True), (20000, False)):
+        columns = tuple(int_array([2 * rng.randrange(10) + 1 for _ in range(n)], 20) for _ in range(2))
+        points = Columns(columns, (20, 20), ReprTag())
+        exact = star_disc_exact(points).value
+        r = star_disc_bracket(points, 64)
+        assert (r.resolution is None) == finishes
+        assert r.lo <= exact <= r.hi
+
+
 def test_bracket_refinement_is_monotone():
     rng = random.Random(7)
     rows = rand_rows(rng, 6, 2)
@@ -409,7 +425,7 @@ def test_every_kernel_is_budgeted_by_the_cells_of_its_grid():
             kernel(rows, work_budget=cells - 1)
 
 
-def test_auto_is_exact_while_n_to_the_d_fits_the_cap():
+def test_auto_is_exact_while_n_to_the_d_fits_the_cap(monkeypatch):
     spec = Halton((2, 3, 5))
     for n in (48, 215):
         points = stream(spec, 0, n)
@@ -418,6 +434,11 @@ def test_auto_is_exact_while_n_to_the_d_fits_the_cap():
     # 1,144 critical corners are left of its 9,938,375
     points = stream(spec, 0, 216)
     assert compute_discrepancy(points) == star_disc_bracket(points, 214) == star_disc_exact(points)
+    # with finishing off the route shows: the sweep at N = 215, a bracket at k = 214 from N = 216
+    monkeypatch.setattr(discrepancy, "_finish_bracket", lambda *args: None)
+    below = stream(spec, 0, 215)
+    assert compute_discrepancy(below) == star_disc_exact(below)
+    assert compute_discrepancy(points).resolution == 214
 
 
 def test_auto_3d_finishes_the_bracket_past_the_cap():

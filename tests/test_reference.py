@@ -157,7 +157,7 @@ def test_brackets_contain_the_reference(name):
             assert r == lattice if r.resolution else r.value == want
 
 
-# (stored cells, cells per block, corners per batch): the defaults, then every cell found
+# (kept cells, cells per block, corners per batch): the defaults, then every cell found
 # again block by block, blocks of one axis-0 row, and a batch per cell
 FINISH_PATHS = [None, (0, None, None), (0, 1, 1), (None, 7, 3)]
 
@@ -167,7 +167,7 @@ def test_finished_brackets_match_the_reference(path, monkeypatch):
     """Seeded d = 2 and d = 3 sets over tie-heavy scales, 2^70 + 3 and a
     scale on every lattice line, with coordinates at 0, on and next to the
     lines i/k and in the last cell, at every k from 2 to 16."""
-    for name, value in zip(("_STORED_CELLS", "_BLOCK_CELLS", "_CORNER_BATCH"), path or ()):
+    for name, value in zip(("_KEPT_CELLS", "_BLOCK_CELLS", "_CORNER_BATCH"), path or ()):
         if value is not None:
             monkeypatch.setattr(discrepancy, name, value)
     rng = random.Random(f"finish-{path}")
