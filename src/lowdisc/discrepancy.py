@@ -645,7 +645,9 @@ def _finish_bracket(columns, scales, closed, k: int, starts, bounds: _ExactMax, 
     the cells where it may reach ``cutoff``; or None when that costs more
     than the lattice: when the cells' corners and the points of their slabs
     number more than (k + 1)^d.  The cells are counted on one pass over
-    their blocks; those with corners are kept for the evaluation while they
+    their blocks, each block's slab points before its corners, so that a
+    bracket whose slabs alone exceed the lattice sorts no column to find the
+    corners.  The cells with corners are kept for the evaluation while they
     number at most ``_KEPT_CELLS``, and otherwise found again.
 
     On axis j the cell ``(a_j/k, (a_j + 1)/k]`` holds the distinct
@@ -669,34 +671,44 @@ def _finish_bracket(columns, scales, closed, k: int, starts, bounds: _ExactMax, 
     import numpy as np
 
     n, d = closed.shape
-    distinct = [_distinct(col, s) for col, s in zip(columns, scales)]
-    first, count = [], []  # per axis and cell, the index of its first corner and how many it holds
-    for values, s in zip(distinct, scales):
-        # edges[i]: the corners within i/k, for i < k, then every corner, the scale in the last cell
-        lines = int_array([i * s // k for i in range(k)], s)  # x <= i/k iff its numerator is at most these
-        edges = np.append(np.searchsorted(values, lines, side="right"), len(values) + 1)
-        first.append(edges[:-1])
-        count.append(np.diff(edges))
     line = [np.bincount(closed[:, j], minlength=k + 1) for j in range(d)]  # the points of each closed index
 
     def slabs(cells):  # the points in the slabs of each cell
         return sum(l[a + 1] for l, a in zip(line, cells.T))
 
-    total = 0.0  # in float64: exact below 2^53, and past it over budget anyway
-    kept, n_kept = [], 0  # the cells with a corner on every axis, while they are few
-    for found in _surviving_cells(closed, k, starts, bounds, cutoff):
-        size = reduce(operator.mul, (c[a].astype(float) for c, a in zip(count, found[0].T)))
-        total += float(size.sum() + slabs(found[0])[size > 0].sum())
-        if total > (k + 1) ** d:
+    def held(found):  # the cells with a corner on every axis: a point in the slab, or the scale in the last cell
+        has = np.all([(l[a + 1] > 0) | (a == k - 1) for l, a in zip(line, found[0].T)], axis=0)
+        return [x[has] for x in found]
+
+    points = corners = 0.0  # in float64: exact below 2^53, and past it over budget anyway
+    distinct = None
+    kept, n_kept = [], 0  # the cells, while they are few
+    for found in map(held, _surviving_cells(closed, k, starts, bounds, cutoff)):
+        points += float(slabs(found[0]).sum())
+        if points > (k + 1) ** d:
+            return None
+        if distinct is None:
+            distinct = [_distinct(col, s) for col, s in zip(columns, scales)]
+            first, count = [], []  # per axis and cell, the index of its first corner and how many it holds
+            for values, s in zip(distinct, scales):
+                # edges[i]: the corners within i/k, for i < k, then every corner, the scale in the last cell
+                lines = int_array([i * s // k for i in range(k)], s)  # x <= i/k iff its numerator is at most these
+                edges = np.append(np.searchsorted(values, lines, side="right"), len(values) + 1)
+                first.append(edges[:-1])
+                count.append(np.diff(edges))
+        corners += float(reduce(operator.mul, (c[a].astype(float) for c, a in zip(count, found[0].T))).sum())
+        if points + corners > (k + 1) ** d:
             return None
         if kept is not None:
-            kept.append([x[size > 0] for x in found])
-            n_kept += len(kept[-1][0])
+            kept.append(found)
+            n_kept += len(found[0])
             kept = kept if n_kept <= _KEPT_CELLS else None
+    if distinct is None:  # no block survives
+        return Fraction(0)
     if kept is None:  # too many to keep: find them again
-        blocks = _surviving_cells(closed, k, starts, bounds, cutoff)
+        blocks = map(held, _surviving_cells(closed, k, starts, bounds, cutoff))
     else:
-        blocks = [[np.concatenate(x) for x in zip(*kept)]] if kept else []
+        blocks = [[np.concatenate(x) for x in zip(*kept)]]
 
     rank = np.stack([np.searchsorted(v, int_array(col, s)) for v, col, s in zip(distinct, columns, scales)], axis=1)
     order = [np.argsort(closed[:, j], kind="stable") for j in range(d)]  # the points by closed lattice index
@@ -742,9 +754,7 @@ def _finish_bracket(columns, scales, closed, k: int, starts, bounds: _ExactMax, 
         return index, hist + np.repeat(base, size)
 
     for cells, base, c_up, *sides in blocks:
-        held = np.all([c[a] > 0 for c, a in zip(count, cells.T)], axis=0)  # a corner on every axis
         for sign, side in zip((1, -1), sides):
-            side = side & held
             start, shape = box(cells[side], base[side], c_up[side], sign)
             keep = shape.prod(axis=1) > 0
             if not keep.any():
