@@ -32,10 +32,10 @@ also bounds every cell ``(a/k, b/k]``, b = a + 1: no corner inside exceeds
 ``max(vol(b) - closed(a)/N, closed(b)/N - vol(a))`` (Thiemard, J.
 Complexity 17, 2001).  Its ``hi`` is the largest bound, rechecked in
 integers, which is tighter than the lattice maximum plus d/k.  The cells
-whose bound can reach the lattice maximum hold some critical corners; if
-they and the points of the cells' slabs number at most (k + 1)^d, the
-bracket evaluates the corners on the same float filter and exact recheck
-and returns the exact value.
+whose bound can reach the lattice maximum hold some critical corners; the
+bracket sums their blocks once more and evaluates the corners as it counts
+them, on the same float filter and exact recheck.  If they and the points
+of the cells' slabs number at most (k + 1)^d, it returns the exact value.
 
 The extreme kind in d >= 2 (:func:`extreme_disc_grid`) runs the same
 filter and recheck over every lower/upper corner pair, counting each box by
@@ -93,8 +93,9 @@ __all__ = [
 
 # Work is counted in cells of the grid a kernel visits: corners of the
 # critical grid, corner pairs of the extreme grid, lattice corners of a
-# bracket.  ``auto`` runs the star kind exact while N^d is at most
-# AUTO_EXACT_CAP, and brackets at a resolution whose lattice fits it.
+# bracket.  ``auto`` runs the star kind exact while the product of its
+# axes' distinct coordinate counts is at most AUTO_EXACT_CAP, and brackets
+# at a resolution whose lattice fits it.
 DEFAULT_WORK_BUDGET = 10**8
 AUTO_EXACT_CAP = 10**7
 
@@ -241,12 +242,11 @@ def extreme_disc_1d(points) -> DiscrepancyResult:
 # holds at least one axis-0 row.
 _BLOCK_CELLS = 1 << 14
 
-# A finishing bracket keeps the cells it counts, while they number at most
-# _KEPT_CELLS, so as not to find them again block by block: that saved 30 ms
-# of the 100 ms hammersley-lattice bracket (x86-64, 2 vCPUs).  It evaluates
-# them in batches of about _CORNER_BATCH corners and slab points (or of one
-# cell), each holding some thirty arrays of that length.
-_KEPT_CELLS = 1 << 13
+# A finishing bracket evaluates its queue once it holds over _QUEUED_CELLS cells
+# (2^13 traced 2.6 MB, not 1.9, on 2,048 Halton(2,3) points at k=1024; 2^11 had
+# op9 N=4096 evaluate 3,122 cells, then give up), in batches of _CORNER_BATCH
+# corners and slab points or one cell, each holding ~30 arrays of that length.
+_QUEUED_CELLS = 1 << 12
 _CORNER_BATCH = 1 << 12
 
 
@@ -530,22 +530,22 @@ def extreme_disc_grid(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> Disc
 # ---------------------------------------------------------------------------
 
 
-def _lattice_indices(columns, scales, k: int):
+def _lattice_indices(columns, scales, k: int, lines):
     """The closed and lower index of every point on the lattice {0..k}/k,
     ceil(ak/s) and floor(ak/s) for a numerator a over the scale s.
 
-    Corner i/k is at or above a/s iff a <= floor(is/k), so the closed index
-    counts the corners with floor(is/k) < a: a search in rank space, which
-    forms no per-point products.  The lower index is one less unless
-    a = ceil(is/k).
+    Corner i/k is at or above a/s iff a <= floor(is/k), the entry i < k of
+    the axis's ``lines``, so the closed index counts the lines below a: a
+    search in rank space, which forms no per-point products.  The lower
+    index is one less unless a = ceil(is/k).
     """
     import numpy as np
 
     n, d = len(columns[0]), len(columns)
     closed, lower = np.empty((n, d), dtype=np.int64), np.empty((n, d), dtype=np.int64)
-    for j, (col, s) in enumerate(zip(columns, scales)):
+    for j, (col, s, edges) in enumerate(zip(columns, scales, lines)):
         col = int_array(col, s)
-        closed[:, j] = np.searchsorted(int_array([i * s // k for i in range(k)], s), col)
+        closed[:, j] = np.searchsorted(edges, col)
         ceil = int_array([-(-i * s // k) for i in range(k + 1)], s + 1)
         lower[:, j] = closed[:, j] - (ceil[closed[:, j]] != col)
     return closed, lower
@@ -574,21 +574,6 @@ def _block_cells(block, r0: int, bounds: _ExactMax, nvol=None):
     return first, (up, upper), (low, lower), c_low, c_up
 
 
-def _surviving_cells(closed, k: int, starts, bounds: _ExactMax, cutoff: float):
-    """Yield, for each block from ``starts``, the cells where the float bound
-    of a side reaches ``cutoff``, as rows of their lower corners a, their
-    counts ``closed(a)`` and ``closed(a + 1)``, and which sides do."""
-    import numpy as np
-
-    for r0, block in _prefix_counts(closed, (k + 1,) * closed.shape[1], starts):
-        first, (_, upper), (_, lower), c_low, c_up = _block_cells(block, r0, bounds)
-        upper, lower = upper >= cutoff, lower >= cutoff
-        hit = np.unravel_index(np.flatnonzero(upper | lower), upper.shape)
-        cells = np.stack(hit, axis=1)
-        cells[:, 0] += first
-        yield cells, c_low[hit], c_up[hit], upper[hit], lower[hit]
-
-
 def _distinct(col, scale: int):
     """The sorted distinct values of a column, as an array: of a list column
     by sorting its set of Python ints (four times faster than ``np.unique``
@@ -600,6 +585,11 @@ def _distinct(col, scale: int):
         return int_array(sorted(set(col)), scale)
     values = np.sort(col)
     return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
+def _distinct_count(col) -> int:
+    """The number of distinct values in a column; of a list column by its set, which sorts no Python ints."""
+    return len(set(col)) if isinstance(col, list) else len(_distinct(col, 0))  # the scale serves lists only
 
 
 def _cell_prefix_sums(hist, shape):
@@ -639,16 +629,17 @@ def _cell_prefix_sums(hist, shape):
     return digits
 
 
-def _finish_bracket(columns, scales, closed, k: int, starts, bounds: _ExactMax, cutoff: float):
-    """The exact maximum over the critical corners inside the cells that
-    :func:`_surviving_cells` finds from ``starts``, each side evaluated in
-    the cells where it may reach ``cutoff``; or None when that costs more
-    than the lattice: when the cells' corners and the points of their slabs
-    number more than (k + 1)^d.  The cells are counted on one pass over
-    their blocks, each block's slab points before its corners, so that a
-    bracket whose slabs alone exceed the lattice sorts no column to find the
-    corners.  The cells with corners are kept for the evaluation while they
-    number at most ``_KEPT_CELLS``, and otherwise found again.
+def _finish_bracket(columns, scales, closed, k: int, lines, starts, bounds: _ExactMax, cutoff: float):
+    """The exact maximum over the critical corners inside the lattice cells
+    where the float bound of a side reaches ``cutoff``, each side evaluated
+    in the cells where it does; or None when that costs more than the
+    lattice: when the cells' corners and the points of their slabs number
+    more than (k + 1)^d.  The blocks from ``starts`` are summed once, each
+    block's slab points counted before its corners, so that a bracket whose
+    slabs alone exceed the lattice sorts no column to find the corners.
+    Its cells with a corner on every axis are queued, and the queue is
+    evaluated whenever it holds more than ``_QUEUED_CELLS`` cells, and once
+    at the end; a bracket that gives up drops what it evaluated.
 
     On axis j the cell ``(a_j/k, (a_j + 1)/k]`` holds the distinct
     coordinates in it, and the last cell the scale too.  A corner c in cell
@@ -672,48 +663,11 @@ def _finish_bracket(columns, scales, closed, k: int, starts, bounds: _ExactMax, 
 
     n, d = closed.shape
     line = [np.bincount(closed[:, j], minlength=k + 1) for j in range(d)]  # the points of each closed index
+    held = [np.append(l[1:k] > 0, True) for l in line]  # per axis, the cells with a corner: a slab point or the scale
+    rank = order = bucket = best = None  # the evaluator, built at the first evaluation
 
     def slabs(cells):  # the points in the slabs of each cell
         return sum(l[a + 1] for l, a in zip(line, cells.T))
-
-    def held(found):  # the cells with a corner on every axis: a point in the slab, or the scale in the last cell
-        has = np.all([(l[a + 1] > 0) | (a == k - 1) for l, a in zip(line, found[0].T)], axis=0)
-        return [x[has] for x in found]
-
-    points = corners = 0.0  # in float64: exact below 2^53, and past it over budget anyway
-    distinct = None
-    kept, n_kept = [], 0  # the cells, while they are few
-    for found in map(held, _surviving_cells(closed, k, starts, bounds, cutoff)):
-        points += float(slabs(found[0]).sum())
-        if points > (k + 1) ** d:
-            return None
-        if distinct is None:
-            distinct = [_distinct(col, s) for col, s in zip(columns, scales)]
-            first, count = [], []  # per axis and cell, the index of its first corner and how many it holds
-            for values, s in zip(distinct, scales):
-                # edges[i]: the corners within i/k, for i < k, then every corner, the scale in the last cell
-                lines = int_array([i * s // k for i in range(k)], s)  # x <= i/k iff its numerator is at most these
-                edges = np.append(np.searchsorted(values, lines, side="right"), len(values) + 1)
-                first.append(edges[:-1])
-                count.append(np.diff(edges))
-        corners += float(reduce(operator.mul, (c[a].astype(float) for c, a in zip(count, found[0].T))).sum())
-        if points + corners > (k + 1) ** d:
-            return None
-        if kept is not None:
-            kept.append(found)
-            n_kept += len(found[0])
-            kept = kept if n_kept <= _KEPT_CELLS else None
-    if distinct is None:  # no block survives
-        return Fraction(0)
-    if kept is None:  # too many to keep: find them again
-        blocks = map(held, _surviving_cells(closed, k, starts, bounds, cutoff))
-    else:
-        blocks = [[np.concatenate(x) for x in zip(*kept)]]
-
-    rank = np.stack([np.searchsorted(v, int_array(col, s)) for v, col, s in zip(distinct, columns, scales)], axis=1)
-    order = [np.argsort(closed[:, j], kind="stable") for j in range(d)]  # the points by closed lattice index
-    bucket = [np.concatenate(([0], np.cumsum(l))) for l in line]  # where each closed index starts in order
-    best = _ExactMax([v.tolist() + [s] for v, s in zip(distinct, scales)], scales, n)
 
     def box(cells, base, c_up, sign):  # each cell's first corner and corners per axis for one side
         start = np.stack([f[a] for f, a in zip(first, cells.T)], axis=1)
@@ -753,7 +707,14 @@ def _finish_bracket(columns, scales, closed, k: int, starts, bounds: _ExactMax, 
         index = tuple(np.repeat(start[:, j], size) + digits[j] for j in range(d))
         return index, hist + np.repeat(base, size)
 
-    for cells, base, c_up, *sides in blocks:
+    def evaluate(queue):
+        nonlocal rank, order, bucket, best
+        if best is None:
+            rank = np.stack([np.searchsorted(v, int_array(c, s)) for v, c, s in zip(distinct, columns, scales)], axis=1)
+            order = [np.argsort(closed[:, j], kind="stable") for j in range(d)]  # the points by closed lattice index
+            bucket = [np.concatenate(([0], np.cumsum(l))) for l in line]  # where each closed index starts in order
+            best = _ExactMax([v.tolist() + [s] for v, s in zip(distinct, scales)], scales, n)
+        cells, base, c_up, *sides = (np.concatenate(x) for x in zip(*queue))
         for sign, side in zip((1, -1), sides):
             start, shape = box(cells[side], base[side], c_up[side], sign)
             keep = shape.prod(axis=1) > 0
@@ -766,7 +727,42 @@ def _finish_bracket(columns, scales, closed, k: int, starts, bounds: _ExactMax, 
             for a, b in zip([0, *edges], [*edges, len(batch)]):
                 index, counts = corner_counts(*(x[a:b] for x in args), sign)
                 best.add(index, sign, counts, sign * (best.nvol(index) - counts))
-    return best.value
+
+    def surviving(r0, block):  # the block's cells where a side reaches cutoff, with a corner on every axis
+        row, (_, upper), (_, lower), c_low, c_up = _block_cells(block, r0, bounds)
+        upper, lower = upper >= cutoff, lower >= cutoff
+        hit = (upper | lower) & reduce(np.logical_and.outer, [held[0][row:row + len(upper)], *held[1:]])
+        hit = np.unravel_index(np.flatnonzero(hit), hit.shape)
+        cells = np.stack(hit, axis=1)
+        cells[:, 0] += row
+        return cells, c_low[hit], c_up[hit], upper[hit], lower[hit]
+
+    points = corners = 0.0  # in float64: exact below 2^53, and past it over budget anyway
+    distinct, queue, queued = None, [], 0
+    # a block lives only in the frame of surviving(), so none is alive through the last evaluation
+    for found in itertools.starmap(surviving, _prefix_counts(closed, (k + 1,) * d, starts)):
+        points += float(slabs(found[0]).sum())
+        if points > (k + 1) ** d:
+            return None
+        if distinct is None:
+            distinct = [_distinct(col, s) for col, s in zip(columns, scales)]
+            first, count = [], []  # per axis and cell, the index of its first corner and how many it holds
+            for values, lattice in zip(distinct, lines):
+                # the corners within i/k, for i < k, then every corner, the scale in the last cell
+                edges = np.append(np.searchsorted(values, lattice, side="right"), len(values) + 1)
+                first.append(edges[:-1])
+                count.append(np.diff(edges))
+        corners += float(reduce(operator.mul, (c[a].astype(float) for c, a in zip(count, found[0].T))).sum())
+        if points + corners > (k + 1) ** d:
+            return None
+        queue.append(found)
+        queued += len(found[0])
+        if queued > _QUEUED_CELLS:
+            evaluate(queue)
+            queue, queued = [], 0
+    if queued:
+        evaluate(queue)
+    return Fraction(0) if best is None else best.value
 
 
 def star_disc_bracket(points, k: int, *, work_budget: int = DEFAULT_WORK_BUDGET) -> DiscrepancyResult:
@@ -787,20 +783,22 @@ def star_disc_bracket(points, k: int, *, work_budget: int = DEFAULT_WORK_BUDGET)
 
     A side of a cell whose float bound reaches ``lo`` less 2E (E the error
     bound of :class:`_ExactMax`) may exceed ``lo`` at a corner inside.  The
-    cells with such a side are found again in the blocks that hold some.
-    If their critical corners and the points of their slabs, from which
-    each side draws its shell, number at most (k + 1)^d, those sides are
-    evaluated there and the result is exact: the larger of ``lo`` and their
-    maximum.  Otherwise it is the bracket ``[lo, hi]`` at resolution k.  A
-    lattice of more than ``work_budget`` corners, (k + 1)^d, is refused, so
-    the budget bounds the finishing too.
+    blocks that hold such a side are summed once more, the cutoff ``lo``
+    being known only after the lattice pass, and their cells evaluated as
+    they are counted.  If their critical corners and the points of their
+    slabs, from which each side draws its shell, number at most (k + 1)^d,
+    the result is exact: the larger of ``lo`` and their maximum.  Otherwise
+    it is the bracket ``[lo, hi]`` at resolution k, whatever was evaluated
+    before the count ran over.  A lattice of more than ``work_budget``
+    corners, (k + 1)^d, is refused, so the budget bounds the finishing too.
     """
     columns, scales, represented = _normalize(points)
     if k < 2:
         raise ValidationError("bracket resolution must be >= 2")
     n, d = len(columns[0]), len(columns)
     _check_cells("bracket lattice", (k + 1) ** d, work_budget)
-    closed, lower = _lattice_indices(columns, scales, k)
+    lines = [int_array([i * s // k for i in range(k)], s) for s in scales]  # x <= i/k iff x's numerator <= these
+    closed, lower = _lattice_indices(columns, scales, k, lines)
     values, bounds = (_ExactMax([range(k + 1)] * d, [k] * d, n) for _ in range(2))
     block_bound = {}  # the largest float bound in each block
     for r0, block, c_open, c_closed in _count_blocks(closed, lower, (k + 1,) * d):
@@ -813,7 +811,7 @@ def star_disc_bracket(points, k: int, *, work_budget: int = DEFAULT_WORK_BUDGET)
     if hi > lo:
         cutoff = float(n * lo) - values.slack
         starts = {r0 for r0, top in block_bound.items() if top >= cutoff}
-        finished = _finish_bracket(columns, scales, closed, k, starts, bounds, cutoff)
+        finished = _finish_bracket(columns, scales, closed, k, lines, starts, bounds, cutoff)
         if finished is not None:
             lo = hi = max(lo, finished)
     return DiscrepancyResult("star", n, d, lo, hi, None if lo == hi else k, represented)
@@ -920,17 +918,18 @@ def compute_discrepancy(points, kind: str = "star", algo: str = "auto", k: int |
 
     ``auto`` uses the 1D closed forms in d = 1.  In d >= 2 it runs the
     extreme kind, which has no bracket, on the corner-pair grid, and the
-    star kind on the exact kernel while N^d is at most ``AUTO_EXACT_CAP``;
+    star kind on the exact kernel while N^d, or else the product of each
+    axis's count of distinct coordinates, is at most ``AUTO_EXACT_CAP``;
     beyond that it brackets the star kind at the largest resolution up to
     ``k`` (``DEFAULT_BRACKET_K`` when None) whose lattice of (k + 1)^d
     corners fits the same cap.  A bracket, chosen here or asked for with
     ``bracket``, comes back exact when the critical corners of its cells
     that can beat the lattice maximum, with the points of their slabs,
     number at most (k + 1)^d (see :func:`star_disc_bracket`); otherwise
-    its ``hi`` is the largest cell
-    bound, at most the lattice maximum plus d/k.  Every kernel, chosen or
-    explicit, refuses a grid of more than ``work_budget`` cells with
-    :class:`~lowdisc.errors.BudgetError` instead of degrading.
+    its ``hi`` is the largest cell bound, at most the lattice maximum plus
+    d/k.  Every kernel, chosen or explicit, refuses a grid of more than
+    ``work_budget`` cells with :class:`~lowdisc.errors.BudgetError` instead
+    of degrading.
     """
     points = _as_columns(points)
     n, d = points.count, points.dim
@@ -943,7 +942,7 @@ def compute_discrepancy(points, kind: str = "star", algo: str = "auto", k: int |
 
     k = DEFAULT_BRACKET_K if k is None else k
     if algo == "auto":
-        if n**d <= AUTO_EXACT_CAP:
+        if n**d <= AUTO_EXACT_CAP or math.prod(map(_distinct_count, points.columns)) <= AUTO_EXACT_CAP:
             algo = "2d" if d == 2 else "grid"
         else:
             side = int(AUTO_EXACT_CAP ** (1 / d)) + 1

@@ -22,7 +22,7 @@ from lowdisc.discrepancy import (
 )
 from lowdisc.errors import BudgetError, ValidationError
 from lowdisc.experiments import preset
-from lowdisc.generators import Columns, Halton, Hammersley, Hybrid, Kronecker, Lattice, ReprTag, stream
+from lowdisc.generators import Columns, Halton, Hammersley, Hybrid, Kronecker, Lattice, ReprTag, int_column, stream
 from lowdisc.algebra import fixedpoint_sqrt, int_array
 
 
@@ -455,6 +455,20 @@ def test_auto_2d_switches_to_the_bracket_past_n_3162():
     assert compute_discrepancy(points) == star_disc_2d_sweep(points)
     r = compute_discrepancy(stream(spec, 0, 3163))
     assert r.mode == "bracketed" and r.resolution == 512
+
+
+def test_auto_sweeps_a_tie_heavy_set_past_n_3162(monkeypatch):
+    """4,000 points on 100 values per axis, one in each hundredth, as from a
+    file of two decimals: N^2 is past AUTO_EXACT_CAP but the critical grid
+    has at most 101^2 corners, so auto sweeps it, on int64 and list columns
+    alike.  Finishing is off, so a bracket would show."""
+    monkeypatch.setattr(discrepancy, "_finish_bracket", lambda *args: None)
+    rng = random.Random(23)
+    for scale in (100, 2**70 + 3):
+        pools = [[v * (scale // 100) + rng.randrange(scale // 100) for v in range(100)] for _ in range(2)]
+        columns = tuple(int_column([rng.choice(pool) for _ in range(4000)], scale) for pool in pools)
+        points = Columns(columns, (scale, scale), ReprTag())
+        assert compute_discrepancy(points) == star_disc_exact(points)
 
 
 def test_auto_extreme_runs_the_pair_grid_under_the_budget():

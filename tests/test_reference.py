@@ -157,30 +157,47 @@ def test_brackets_contain_the_reference(name):
             assert r == lattice if r.resolution else r.value == want
 
 
-# (kept cells, cells per block, corners per batch): the defaults, then every cell found
-# again block by block, blocks of one axis-0 row, and a batch per cell
+# (queued cells, cells per block, corners per batch): the defaults, then the queue
+# evaluated at every block, blocks of one axis-0 row, and a batch per cell
 FINISH_PATHS = [None, (0, None, None), (0, 1, 1), (None, 7, 3)]
 
 
-@pytest.mark.parametrize("path", FINISH_PATHS, ids=["default", "found-again", "one-row-blocks", "small-batches"])
+@pytest.mark.parametrize("path", FINISH_PATHS,
+                         ids=["default", "evaluated-per-block", "one-row-blocks", "small-batches"])
 def test_finished_brackets_match_the_reference(path, monkeypatch):
     """Seeded d = 2 and d = 3 sets over tie-heavy scales, 2^70 + 3 and a
     scale on every lattice line, with coordinates at 0, on and next to the
-    lines i/k and in the last cell, at every k from 2 to 16."""
-    for name, value in zip(("_KEPT_CELLS", "_BLOCK_CELLS", "_CORNER_BATCH"), path or ()):
+    lines i/k and in the last cell, at every k from 2 to 16.  A bracket that
+    gives up after evaluating some cells keeps its lattice pass's result."""
+    for name, value in zip(("_QUEUED_CELLS", "_BLOCK_CELLS", "_CORNER_BATCH"), path or ()):
         if value is not None:
             monkeypatch.setattr(discrepancy, name, value)
+    evaluations = 0
+    prefix_sums = discrepancy._cell_prefix_sums
+
+    def counted(*args):
+        nonlocal evaluations
+        evaluations += 1
+        return prefix_sums(*args)
+
+    monkeypatch.setattr(discrepancy, "_cell_prefix_sums", counted)
     rng = random.Random(f"finish-{path}")
-    finished = 0
+    finished = wasted = 0
     for k in range(2, 17):
         for scales in ((8, 30), (2**70 + 3, 720720), (720720, 8, 2**70 + 3)):
             for _ in range(2):
                 points = lattice_set(rng, rng.randrange(1, 24 if len(scales) == 2 else 12), scales, k)
                 want = reference_star(points.columns, points.scales)
+                before = evaluations
                 r = star_disc_bracket(points, k)
                 assert r.lo <= want <= r.hi
                 finished += r.resolution is None
+                if r.resolution is not None:
+                    wasted += evaluations > before
+                    assert r == lattice_bracket(points, k)
     assert finished >= 40  # of 90: the finishing itself is checked, not only containment
+    if path == (0, 1, 1):  # evaluated one-row blocks, then gave up: none of that work leaks into the bracket
+        assert wasted >= 1
 
 
 def test_a_finished_bracket_matches_the_sweep_on_c1():
