@@ -27,15 +27,16 @@ and :func:`star_disc_bracket` differ only in the corner grid they hand it.
   only the exact maximum (the filter-then-exact pattern of Shewchuk, DCG 18,
   1997).  Floats prune; no floating point decides a maximum.
 
-A bracket request may come back exact.  On the lattice pass the bracket
-also bounds every cell ``(a/k, b/k]``, b = a + 1: no corner inside exceeds
-``max(vol(b) - closed(a)/N, closed(b)/N - vol(a))`` (Thiemard, J.
-Complexity 17, 2001).  Its ``hi`` is the largest bound, rechecked in
-integers, which is tighter than the lattice maximum plus d/k.  The cells
-whose bound can reach the lattice maximum hold some critical corners; the
-bracket sums their blocks once more and evaluates the corners as it counts
-them, on the same float filter and exact recheck.  If they and the points
-of the cells' slabs number at most (k + 1)^d, it returns the exact value.
+A bracket request may come back exact.  The kernel on the lattice corners
+gives the lattice maximum ``lo``; one more pass over the lattice's closed
+prefix counts bounds every cell ``(a/k, b/k]``, b = a + 1: no corner
+inside exceeds ``max(vol(b) - closed(a)/N, closed(b)/N - vol(a))``
+(Thiemard, J. Complexity 17, 2001).  Its ``hi`` is the largest bound,
+rechecked in integers, which is tighter than ``lo`` plus d/k.  The cells
+whose bound can reach ``lo`` hold some critical corners, and the same pass
+evaluates them as it bounds them, on the same float filter and exact
+recheck.  If they and the points of the cells' slabs number at most
+(k + 1)^d, it returns the exact value.
 
 The extreme kind in d >= 2 (:func:`extreme_disc_grid`) runs the same
 filter and recheck over every lower/upper corner pair, counting each box by
@@ -250,16 +251,13 @@ _QUEUED_CELLS = 1 << 12
 _CORNER_BATCH = 1 << 12
 
 
-def _prefix_counts(index, shape, starts=None):
+def _prefix_counts(index, shape):
     """Yield ``(r0, block)`` for consecutive runs of axis-0 rows of the grid.
 
     ``block[a, b, ...]`` is the number of points whose index is at most
     ``(r0 + a - 1, b - 1, ...)`` on every axis, so index -1 reads 0 and
     ``block[0]`` repeats the last row of the previous block: a histogram over
     rank space, summed one block at a time with the last row carried over.
-    Given a set of block ``starts``, only those blocks are yielded; the
-    points of the rows skipped before one are entered in its first row,
-    beside the carry, so no skipped row is summed.
     """
     import numpy as np
 
@@ -269,26 +267,20 @@ def _prefix_counts(index, shape, starts=None):
     step = max(1, _BLOCK_CELLS // row_cells)
     flat = np.sort(np.ravel_multi_index(tuple((index + 1).T), padded))
     carry = np.zeros(row, dtype=np.int64)
-    done = 0  # the carry holds the points of the rows below this one
     for r0 in range(0, shape[0], step):
-        if starts is not None and r0 not in starts:
-            continue
         r1 = min(r0 + step, shape[0])
-        lo, hi = np.searchsorted(flat, ((done + 1) * row_cells, (r1 + 1) * row_cells))
-        at = flat[lo:hi] - r0 * row_cells  # below row_cells for the skipped rows: fold them onto row 0
-        block = np.bincount(np.maximum(at, at % row_cells), minlength=(r1 - r0 + 1) * row_cells)
+        lo, hi = np.searchsorted(flat, ((r0 + 1) * row_cells, (r1 + 1) * row_cells))
+        block = np.bincount(flat[lo:hi] - r0 * row_cells, minlength=(r1 - r0 + 1) * row_cells)
         block = block.reshape((r1 - r0 + 1,) + row)
-        rows = block if done < r0 else block[1:]
         for axis in range(1, len(padded)):
-            np.cumsum(rows, axis=axis, out=rows)
-        block[0] += carry
+            np.cumsum(block[1:], axis=axis, out=block[1:])
+        block[0] = carry
         if row_cells >= 512:  # numpy's cumsum along axis 0 is slow on long rows: add them one by one
             for i in range(1, len(block)):
                 block[i] += block[i - 1]
         else:  # rows loop slower than the cumsum below about 300 cells (x86-64)
             np.cumsum(block, axis=0, out=block)
         carry = block[-1].copy()  # a view would keep the whole block alive
-        done = r1
         yield r0, block
 
 
@@ -328,10 +320,10 @@ class _ExactMax:
         """``N vol`` in float64 at the cells ``index``."""
         return reduce(operator.mul, (a[i] for a, i in zip(self.axes, index)))
 
-    def grid(self, rows: slice, cols: slice = slice(None), volumes: bool = True):
+    def grid(self, rows: slice, cols: slice = slice(None)):
         """The index of the cells in the axis-0 ``rows`` of the grid, every
-        other axis cut to ``cols``, and their ``N vol`` (None unless
-        ``volumes``); one row's product of the other axes is kept per ``cols``."""
+        other axis cut to ``cols``, and their ``N vol``; one row's product of
+        the other axes is kept per ``cols``."""
         import numpy as np
 
         if (cols.start, cols.stop) not in self._rows:
@@ -340,11 +332,11 @@ class _ExactMax:
             self._rows[cols.start, cols.stop] = rest, row
         rest, row = self._rows[cols.start, cols.stop]
         index = (np.arange(len(self.axes[0]))[rows].reshape((-1,) + (1,) * len(rest)),) + rest
-        return index, np.multiply.outer(self.axes[0][rows], row) if volumes else None
+        return index, np.multiply.outer(self.axes[0][rows], row)
 
-    def add(self, index, sign: int, count, value) -> float:
+    def add(self, index, sign: int, count, value) -> None:
         """Take in one side of the cells ``index``: ``value`` is the float
-        ``sign (N vol - count)`` of each.  Returns its float maximum."""
+        ``sign (N vol - count)`` of each."""
         import numpy as np
 
         top = float(value.max())
@@ -355,52 +347,39 @@ class _ExactMax:
             lam = reduce(np.multiply, (e[c] for e, c in zip(self.extents, cell)), self.n)
             counts = count[hit].astype(self.extents[0].dtype)
             self.exact = max(self.exact, int((sign * (lam - counts * self.total)).max()))
-        return top
 
-    def add_rows(self, r0: int, c_open, c_closed):
+    def add_rows(self, r0: int, c_open, c_closed) -> None:
         """Take in both sides of a block of grid rows from axis-0 index r0 on,
-        with their open and closed counts.  Returns their ``N vol``."""
+        with their open and closed counts."""
         index, nvol = self.grid(slice(r0, r0 + len(c_open)))
         self.add(index, 1, c_open, nvol - c_open)
         self.add(index, -1, c_closed, c_closed - nvol)
-        return nvol
 
     @property
     def value(self) -> Fraction:
         return Fraction(self.exact, self.n * self.total)
 
 
-def _count_blocks(closed, lower, shape):
-    """Yield ``(r0, block, open_, closed_)`` over the corner grid: the padded
-    closed prefix counts of :func:`_prefix_counts` and the open and closed
-    counts at the corners of its rows.
+def _star_kernel(corners, scales, closed, lower) -> Fraction:
+    """Exact maximum over the corner grid of ``max(vol - open/N, closed/N - vol)``.
 
-    ``closed[p, j]`` is the index of the first corner of axis j with
-    ``x_pj <= corner``, ``lower[p, j]`` that of the last with
-    ``corner <= x_pj`` (-1 if none).  A point is in the closed (open) box of
-    corner i when its closed index is at most i (lower index below i) on
-    every axis: the open count at corner i is the lower count at i - 1.
+    ``corners[j]`` lists the sorted corner values of axis j as integers in
+    units of ``1/scales[j]``.  ``closed[p, j]`` is the index of the first
+    corner of axis j with ``x_pj <= corner``, ``lower[p, j]`` that of the last
+    with ``corner <= x_pj`` (-1 if none).  A point is in the closed (open) box
+    of corner i when its closed index is at most i (lower index below i) on
+    every axis: the open count at corner i is the lower count at i - 1, both
+    read from the padded blocks of :func:`_prefix_counts`.
     """
-    d = len(shape)
+    d, shape = len(corners), tuple(len(c) for c in corners)
+    best = _ExactMax(corners, scales, closed.shape[0])
     counts = _prefix_counts(closed, shape)
     if lower is closed:  # critical grids: one histogram serves both
         hists = ((r0, h, h) for r0, h in counts)
     else:
         hists = ((r0, h, g) for (r0, h), (_, g) in zip(counts, _prefix_counts(lower, shape)))
     for r0, h, g in hists:
-        yield r0, h, g[(slice(-1),) * d], h[(slice(1, None),) * d]
-
-
-def _star_kernel(corners, scales, closed, lower) -> Fraction:
-    """Exact maximum over the corner grid of ``max(vol - open/N, closed/N - vol)``.
-
-    ``corners[j]`` lists the sorted corner values of axis j as integers in
-    units of ``1/scales[j]``; ``closed`` and ``lower`` index the points as
-    :func:`_count_blocks` reads them.
-    """
-    best = _ExactMax(corners, scales, closed.shape[0])
-    for r0, _, c_open, c_closed in _count_blocks(closed, lower, tuple(len(c) for c in corners)):
-        best.add_rows(r0, c_open, c_closed)
+        best.add_rows(r0, g[(slice(-1),) * d], h[(slice(1, None),) * d])
     return best.value
 
 
@@ -551,27 +530,29 @@ def _lattice_indices(columns, scales, k: int, lines):
     return closed, lower
 
 
-def _block_cells(block, r0: int, bounds: _ExactMax, nvol=None):
-    """The lattice cells ``(a, a + 1]`` whose lower corner a lies in a
-    :func:`_prefix_counts` block from row r0 on, or None if none does: the
-    first such row, the index and float bound of each side,
-    ``N vol(a + 1) - closed(a)`` and ``closed(a + 1) - N vol(a)``, and the
-    counts ``closed(a)`` and ``closed(a + 1)``.  ``nvol``, when given, is
-    ``N vol`` at the corners of the block's own rows, and is overwritten."""
+def _block_cells(closed, k: int, bounds: _ExactMax):
+    """Yield, block by block of the lattice's closed prefix counts, the cells
+    ``(a, a + 1]`` whose lower corner a lies in the block: the first such
+    row, the float bound of each side, ``N vol(a + 1) - closed(a)`` and
+    ``closed(a + 1) - N vol(a)``, and the counts ``closed(a)`` and
+    ``closed(a + 1)``.  ``bounds`` takes in both sides of a block before it
+    is yielded, so once the generator is drained it holds the largest bound."""
     import numpy as np
 
-    d, s = block.ndim, int(r0 == 0)  # block row i holds lattice row r0 - 1 + i
-    first, stop = r0 - 1 + s, r0 + len(block) - 2
-    if first >= stop:
-        return None
-    c_low = block[(slice(s, -1),) + (slice(1, -1),) * (d - 1)]
-    c_up = block[(slice(s + 1, None),) + (slice(2, None),) * (d - 1)]
-    up, nvol_up = bounds.grid(slice(first + 1, stop + 1), slice(1, None), nvol is None)
-    if nvol is not None:  # the upper corners' rows are the block's own, from row 0 or 1 on
-        nvol_up = nvol[(slice(s, None),) + (slice(1, None),) * (d - 1)]
-    low, nvol_low = bounds.grid(slice(first, stop), slice(None, -1))
-    upper, lower = np.subtract(nvol_up, c_low, out=nvol_up), np.subtract(c_up, nvol_low, out=nvol_low)
-    return first, (up, upper), (low, lower), c_low, c_up
+    d = closed.shape[1]
+    for r0, block in _prefix_counts(closed, (k + 1,) * d):
+        s = int(r0 == 0)  # block row i holds lattice row r0 - 1 + i
+        first, stop = r0 - 1 + s, r0 + len(block) - 2
+        if first >= stop:
+            continue
+        c_low = block[(slice(s, -1),) + (slice(1, -1),) * (d - 1)]
+        c_up = block[(slice(s + 1, None),) + (slice(2, None),) * (d - 1)]
+        up, upper = bounds.grid(slice(first + 1, stop + 1), slice(1, None))
+        low, lower = bounds.grid(slice(first, stop), slice(None, -1))
+        upper, lower = np.subtract(upper, c_low, out=upper), np.subtract(c_up, lower, out=lower)
+        bounds.add(up, 1, c_low, upper)
+        bounds.add(low, -1, c_up, lower)
+        yield first, upper, lower, c_low, c_up
 
 
 def _distinct(col, scale: int):
@@ -629,17 +610,19 @@ def _cell_prefix_sums(hist, shape):
     return digits
 
 
-def _finish_bracket(columns, scales, closed, k: int, lines, starts, bounds: _ExactMax, cutoff: float):
+def _finish_bracket(columns, scales, closed, k: int, lines, blocks, cutoff: float):
     """The exact maximum over the critical corners inside the lattice cells
     where the float bound of a side reaches ``cutoff``, each side evaluated
     in the cells where it does; or None when that costs more than the
     lattice: when the cells' corners and the points of their slabs number
-    more than (k + 1)^d.  The blocks from ``starts`` are summed once, each
-    block's slab points counted before its corners, so that a bracket whose
-    slabs alone exceed the lattice sorts no column to find the corners.
-    Its cells with a corner on every axis are queued, and the queue is
-    evaluated whenever it holds more than ``_QUEUED_CELLS`` cells, and once
-    at the end; a bracket that gives up drops what it evaluated.
+    more than (k + 1)^d.  The cells come from ``blocks``, the generator of
+    :func:`_block_cells`, which it stops reading when it gives up.  Each
+    block's slab points are counted before its corners, and a block with no
+    such cell is skipped first, so that a bracket whose slabs alone exceed
+    the lattice sorts no column to find the corners.  The cells with a
+    corner on every axis are queued, and the queue is evaluated whenever it
+    holds more than ``_QUEUED_CELLS`` cells, and once at the end; a bracket
+    that gives up drops what it evaluated.
 
     On axis j the cell ``(a_j/k, (a_j + 1)/k]`` holds the distinct
     coordinates in it, and the last cell the scale too.  A corner c in cell
@@ -728,8 +711,7 @@ def _finish_bracket(columns, scales, closed, k: int, lines, starts, bounds: _Exa
                 index, counts = corner_counts(*(x[a:b] for x in args), sign)
                 best.add(index, sign, counts, sign * (best.nvol(index) - counts))
 
-    def surviving(r0, block):  # the block's cells where a side reaches cutoff, with a corner on every axis
-        row, (_, upper), (_, lower), c_low, c_up = _block_cells(block, r0, bounds)
+    def surviving(row, upper, lower, c_low, c_up):  # the cells where a side reaches cutoff, with a corner on every axis
         upper, lower = upper >= cutoff, lower >= cutoff
         hit = (upper | lower) & reduce(np.logical_and.outer, [held[0][row:row + len(upper)], *held[1:]])
         hit = np.unravel_index(np.flatnonzero(hit), hit.shape)
@@ -739,8 +721,10 @@ def _finish_bracket(columns, scales, closed, k: int, lines, starts, bounds: _Exa
 
     points = corners = 0.0  # in float64: exact below 2^53, and past it over budget anyway
     distinct, queue, queued = None, [], 0
-    # a block lives only in the frame of surviving(), so none is alive through the last evaluation
-    for found in itertools.starmap(surviving, _prefix_counts(closed, (k + 1,) * d, starts)):
+    # no loop variable holds a block's arrays, so none is alive through the last evaluation
+    for found in itertools.starmap(surviving, blocks):
+        if not len(found[0]):
+            continue
         points += float(slabs(found[0]).sum())
         if points > (k + 1) ** d:
             return None
@@ -778,19 +762,20 @@ def star_disc_bracket(points, k: int, *, work_budget: int = DEFAULT_WORK_BUDGET)
     Complexity 17, 2001).  A corner on an axis value 0 counts no more than a
     lattice corner of volume 0.  So D* is at most ``hi``, the larger of
     ``lo`` and the largest cell bound, and ``hi`` is at most ``lo + d/k``.
-    The lattice pass finds both, each by the float filter and exact recheck
-    of :class:`_ExactMax`.
+    ``lo`` comes from :func:`_star_kernel` on the lattice corners, ``hi``
+    from one pass of :func:`_block_cells`, each by the float filter and
+    exact recheck of :class:`_ExactMax`.
 
     A side of a cell whose float bound reaches ``lo`` less 2E (E the error
-    bound of :class:`_ExactMax`) may exceed ``lo`` at a corner inside.  The
-    blocks that hold such a side are summed once more, the cutoff ``lo``
-    being known only after the lattice pass, and their cells evaluated as
-    they are counted.  If their critical corners and the points of their
-    slabs, from which each side draws its shell, number at most (k + 1)^d,
-    the result is exact: the larger of ``lo`` and their maximum.  Otherwise
-    it is the bracket ``[lo, hi]`` at resolution k, whatever was evaluated
-    before the count ran over.  A lattice of more than ``work_budget``
-    corners, (k + 1)^d, is refused, so the budget bounds the finishing too.
+    bound of :class:`_ExactMax`) may exceed ``lo`` at a corner inside, and
+    :func:`_finish_bracket` evaluates those cells as the pass bounds them.
+    If their critical corners and the points of their slabs, from which
+    each side draws its shell, number at most (k + 1)^d, the result is
+    exact: the larger of ``lo`` and their maximum.  Otherwise it is the
+    bracket ``[lo, hi]`` at resolution k, whatever was evaluated before the
+    count ran over; the rest of the pass still bounds every cell.  A lattice
+    of more than ``work_budget`` corners, (k + 1)^d, is refused, so the
+    budget bounds the finishing too.
     """
     columns, scales, represented = _normalize(points)
     if k < 2:
@@ -799,21 +784,15 @@ def star_disc_bracket(points, k: int, *, work_budget: int = DEFAULT_WORK_BUDGET)
     _check_cells("bracket lattice", (k + 1) ** d, work_budget)
     lines = [int_array([i * s // k for i in range(k)], s) for s in scales]  # x <= i/k iff x's numerator <= these
     closed, lower = _lattice_indices(columns, scales, k, lines)
-    values, bounds = (_ExactMax([range(k + 1)] * d, [k] * d, n) for _ in range(2))
-    block_bound = {}  # the largest float bound in each block
-    for r0, block, c_open, c_closed in _count_blocks(closed, lower, (k + 1,) * d):
-        cells = _block_cells(block, r0, bounds, values.add_rows(r0, c_open, c_closed))
-        if cells is not None:
-            _, (up, open_side), (low, closed_side), c_low, c_up = cells
-            block_bound[r0] = max(bounds.add(up, 1, c_low, open_side), bounds.add(low, -1, c_up, closed_side))
-    lo = values.value
+    lo = _star_kernel([range(k + 1)] * d, [k] * d, closed, lower)
+    bounds = _ExactMax([range(k + 1)] * d, [k] * d, n)
+    blocks = _block_cells(closed, k, bounds)
+    finished = _finish_bracket(columns, scales, closed, k, lines, blocks, float(n * lo) - bounds.slack)
+    for _ in blocks:  # a bracket that gave up still bounds every cell
+        pass
     hi = max(lo, bounds.value)
-    if hi > lo:
-        cutoff = float(n * lo) - values.slack
-        starts = {r0 for r0, top in block_bound.items() if top >= cutoff}
-        finished = _finish_bracket(columns, scales, closed, k, lines, starts, bounds, cutoff)
-        if finished is not None:
-            lo = hi = max(lo, finished)
+    if finished is not None:
+        lo = hi = max(lo, finished)
     return DiscrepancyResult("star", n, d, lo, hi, None if lo == hi else k, represented)
 
 

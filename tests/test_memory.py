@@ -69,3 +69,13 @@ def test_bracket_of_wide_columns_builds_no_per_point_ints():
     assert result.lo is not None
     # index arrays and one kernel block; floor(x k) in 192-bit ints took 6 MB
     assert peak < 4 * MB
+
+
+def test_a_finishing_bracket_holds_one_lattice_block_and_its_queue():
+    points = stream(preset("hammersley-lattice").spec, 0, 233)
+    star_disc_bracket(points.head(20), 128)
+    result, peak = traced_peak(lambda: star_disc_bracket(points, 128))
+    assert result.resolution is None
+    # 2.21 MiB; a bracket that kept its lattice pass's last block and cell bounds alive beside the
+    # queue took 2.67 MiB
+    assert peak < 2.45 * MB
