@@ -17,9 +17,8 @@ Conventions used throughout the package:
   Values constructed from data that is exactly representable set
   ``exact=True`` and are treated as error-free.
 
-Everything here is immutable after construction and safe to share between
-concurrent workers; matrix row generators are pure functions of their
-arguments.
+The value classes here are frozen dataclasses that check their fields once,
+when built; a generating matrix is data too, its rows stored or named by rule.
 """
 
 from __future__ import annotations
@@ -162,35 +161,31 @@ def poly_gcd(a, b, q: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class GenMatrix:
-    """An N x N generating matrix over Z_q given by a pure entry function.
+    """An N x N generating matrix over Z_q, held as data.
 
     Row and column indices are 0-based; row ``r`` produces the coefficient
     of ``q^-(r+1)`` in the generated point, and the digit products read a
-    matrix only through :meth:`row_prefix`.  Matrices built from explicit
-    row storage are extended with zero rows/columns; randomly sampled
-    matrices are capped at their sampled size and raise beyond it rather
-    than inventing entries.
+    matrix only through :meth:`row_prefix`.  ``label`` is the matrix's spec
+    token.  The tokens ``identity`` and ``onesrow`` name rules, whose rows
+    are infinite; every other matrix reads its stored ``rows``, as zero past
+    each row's end and below the last row.  A randomly sampled matrix sets
+    ``cap`` to its sampled ``(rows, columns)`` (columns ``None`` if its rows
+    are finite) and raises beyond it rather than inventing entries.
     """
 
-    def __init__(
-        self,
-        q: int,
-        entry_fn,
-        *,
-        max_rows: int | None = None,
-        max_cols: int | None = None,
-        label: str = "custom",
-    ) -> None:
-        _check_prime(q)
-        self.q = q
-        self.label = label
-        self._entry_fn = entry_fn
-        self._max_rows = max_rows
-        self._max_cols = max_cols
+    q: int
+    label: str
+    rows: tuple[tuple[int, ...], ...] = ()
+    cap: tuple[int, int | None] | None = None
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"GenMatrix(q={self.q}, label={self.label!r})"
+    def __post_init__(self) -> None:
+        for row in self.rows:
+            for v in row:
+                if not isinstance(v, int) or not 0 <= v < self.q:
+                    raise ValidationError(f"matrix entry {v!r} outside [0, {self.q})")
+        _check_prime(self.q)
 
     def row_prefix(self, r: int, m: int) -> tuple[int, ...]:
         """First ``m`` entries of row ``r``; deterministic."""
@@ -198,30 +193,28 @@ class GenMatrix:
             return ()
         if r < 0:
             raise ValidationError("matrix indices must be nonnegative")
-        if self._max_rows is not None and r >= self._max_rows:
-            raise ValidationError(
-                f"matrix {self.label!r} is capped at {self._max_rows} rows; row {r} undefined"
-            )
-        if self._max_cols is not None and m > self._max_cols:
-            raise ValidationError(
-                f"matrix {self.label!r} is capped at {self._max_cols} columns; "
-                f"column {self._max_cols} undefined"
-            )
-        row = tuple(self._entry_fn(r, c) for c in range(m))
-        for v in row:
-            if not 0 <= v < self.q:
-                raise ValidationError(f"matrix entry {v!r} outside [0, {self.q})")
-        return row
+        if self.label in ("identity", "onesrow"):
+            if r == 0 and self.label == "onesrow":
+                return (1,) * m
+            return tuple(int(c == r) for c in range(m))
+        if self.cap is not None:
+            max_rows, max_cols = self.cap
+            if r >= max_rows:
+                raise ValidationError(
+                    f"matrix {self.label!r} is capped at {max_rows} rows; row {r} undefined"
+                )
+            if max_cols is not None and m > max_cols:
+                raise ValidationError(
+                    f"matrix {self.label!r} is capped at {max_cols} columns; column {max_cols} undefined"
+                )
+        row = self.rows[r] if r < len(self.rows) else ()
+        return row[:m] + (0,) * (m - len(row))
 
     # -- named constructions -------------------------------------------------
 
     @classmethod
     def identity(cls, q: int) -> "GenMatrix":
-        return cls(
-            q,
-            lambda r, c: 1 if r == c else 0,
-            label="identity",
-        )
+        return cls(q, "identity")
 
     @classmethod
     def ones_first_row(cls, q: int) -> "GenMatrix":
@@ -230,33 +223,13 @@ class GenMatrix:
         The first generated digit is the digit sum of n mod q; digit r >= 1
         copies the r-th input digit.  Row 0 is not finite.
         """
-        return cls(
-            q,
-            lambda r, c: 1 if (r == 0 or r == c) else 0,
-            label="onesrow",
-        )
+        return cls(q, "onesrow")
 
     @classmethod
     def from_rows(cls, q: int, rows) -> "GenMatrix":
         stored = tuple(tuple(int(v) for v in row) for row in rows)
-        for row in stored:
-            for v in row:
-                if not 0 <= v < q:
-                    raise ValidationError(f"matrix entry {v!r} outside [0, {q})")
-
-        def entry(r: int, c: int) -> int:
-            if r >= len(stored) or c >= len(stored[r]):
-                return 0
-            return stored[r][c]
-
         body = ".".join("".join(str(v) for v in row) for row in stored)
-        if q > 7:
-            body = "unprintable"
-        return cls(
-            q,
-            entry,
-            label=f"rows:{body}",
-        )
+        return cls(q, f"rows:{'unprintable' if q > 7 else body}", stored)
 
     @classmethod
     def random_uniform(cls, q: int, size: int, seed: int) -> "GenMatrix":
@@ -270,13 +243,7 @@ class GenMatrix:
             raise ValidationError("matrix size must be >= 1")
         rng = random.Random(f"uniform:{q}:{size}:{seed}")
         stored = tuple(tuple(rng.randrange(q) for _ in range(size)) for _ in range(size))
-        return cls(
-            q,
-            lambda r, c: stored[r][c],
-            max_rows=size,
-            max_cols=size,
-            label=f"random(size={size},seed={seed})",
-        )
+        return cls(q, f"random(size={size},seed={seed})", stored, (size, size))
 
     @classmethod
     def random_finite_rows(
@@ -304,18 +271,7 @@ class GenMatrix:
             row = [rng.randrange(q) for _ in range(length - 1)]
             row.append(rng.randrange(1, q))
             rows.append(tuple(row))
-        stored = tuple(rows)
-
-        def entry(r: int, c: int) -> int:
-            row = stored[r]
-            return row[c] if c < len(row) else 0
-
-        return cls(
-            q,
-            entry,
-            max_rows=size,
-            label=f"finiterandom(size={size},seed={seed},rho={rho})",
-        )
+        return cls(q, f"finiterandom(size={size},seed={seed},rho={rho})", tuple(rows), (size, None))
 
 
 def mat_vec_mod_q(mat: GenMatrix, digits, depth: int) -> tuple[int, ...]:

@@ -48,8 +48,11 @@ columns over per-axis scales, each an int64 array when its scale is at most
 :class:`~lowdisc.generators.PointSet` or a read-back point file is one
 already; rows of ``Fraction``-like values are converted once, as exact
 columns.  The 1D kinds use exact closed forms on the numerators sorted as
-Python ints, and load no numpy for list columns; the kernels in d >= 2 turn
-a list column into an object array once, at their entry.
+Python ints, and load no numpy for list columns.  The kernels in d >= 2 turn
+a list column into an object array where they index it: the exact kernels
+once, in ``_critical_grid``; a bracket once in ``_lattice_indices``, and a
+bracket that finishes cells again, for the points' ranks, in
+``_finish_bracket``.
 
 Results say what they certify.  Each is an enclosure ``[lo, hi]``: one
 point when exact, at most d/k wide when bracketed at resolution k.  Its

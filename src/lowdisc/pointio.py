@@ -19,8 +19,9 @@ Polynomials are dot-separated coefficient lists in ascending order
 ``depth`` exponents, default 2L) or an explicit window ``omega@c.c.c``.
 Matrix tokens are ``identity``, ``onesrow``, ``random(size=..,seed=..)``,
 ``finiterandom(size=..,seed=..,rho=p/q)``, or ``rows:110.011`` (one digit
-string per row, bases up to 7).  Alpha tokens are ``sqrtD``, ``golden``,
-any rational such as ``7/16``, or raw fractional bits ``bits:0x...``.
+string per row, bases up to 7; an empty string is a zero row).  Alpha
+tokens are ``sqrtD``, ``golden``, any rational such as ``7/16``, or raw
+fractional bits ``bits:0x...``.
 
 The point emission format is one header line followed by one point per
 line, coordinates tab-separated, either exact ``p/q`` strings or decimals
@@ -161,8 +162,8 @@ def _parse_matrix(token: str, q: int) -> GenMatrix:
     if token == "onesrow":
         return GenMatrix.ones_first_row(q)
     if token.startswith("rows:"):
-        rows = [tuple(_int(c, "rows entry") for c in part) for part in token[5:].split(".") if part]
-        return GenMatrix.from_rows(q, rows)
+        parts = token[5:].split(".") if token[5:] else []  # an empty part is a zero row; "rows:" has no rows
+        return GenMatrix.from_rows(q, [tuple(_int(c, "rows entry") for c in part) for part in parts])
     for name, builder in (
         ("random", GenMatrix.random_uniform),
         ("finiterandom", GenMatrix.random_finite_rows),
@@ -380,6 +381,7 @@ def read_points(fh) -> ReadPoints:
     or a decimal ``format``) comes back tagged ``coerced``, so a discrepancy
     of it certifies the represented points only.  A header's ``dim`` and
     ``count``, where given, must match the rows, so a truncated file is refused.
+    A header key given twice is refused.
     """
     header: dict[str, str] = {}
     axes: list = []  # per axis: numerators, denominators, one shared object per denominator
@@ -391,6 +393,8 @@ def read_points(fh) -> ReadPoints:
             for item in line[1:].split():
                 if "=" in item:
                     k, v = item.split("=", 1)
+                    if k in header:
+                        raise ValidationError(f"line {lineno}: duplicate header key {k!r}")
                     header[k] = v
             continue
         try:

@@ -110,6 +110,13 @@ def test_from_rows_extends_with_zeros() -> None:
     assert mat.row_prefix(5, 3) == (0, 0, 0)
 
 
+def test_stored_entries_are_checked_at_construction() -> None:
+    with pytest.raises(ValidationError, match=r"matrix entry 2 outside \[0, 2\)"):
+        GenMatrix(2, "rows:2", ((2,),))
+    with pytest.raises(ValidationError, match=r"matrix entry -1 outside \[0, 3\)"):
+        GenMatrix(3, "random(size=2,seed=0)", ((0, 1), (-1, 2)), (2, 2))
+
+
 # -- Laurent series -----------------------------------------------------------
 
 

@@ -265,6 +265,8 @@ DIGITAL = "digital:q=3,L=4,matrices="
         (("gen", "--spec", "{file}", "--count", "4"), "spec = halton:bases=2\nspec = halton:bases=3\n",
          "input:2: duplicate key 'spec'"),
         (("gen", "--spec", "kronecker:width=64,alphas=bits:zz", "--count", "4"), None, "bad bits token 'bits:zz'"),
+        (("disc", "--in", "{file}"), "# dim=2 count=3 count=2\n0\t0\n1/2\t1/2\n", "line 1: duplicate header key 'count'"),
+        (("disc", "--in", "{file}"), "# dim=2 repr=exact repr=fixedpoint(8)\n0\t0\n", "line 1: duplicate header key 'repr'"),
     ],
     ids=["rational", "gens", "schedule", "plan-k", "plan-p", "plan-schedule", "fit-no-N", "fit-N",
          "fit-value", "fit-short-row", "random-size", "finiterandom-seed", "finiterandom-rho", "rows",
@@ -274,7 +276,7 @@ DIGITAL = "digital:q=3,L=4,matrices="
          "disc-budget-0", "disc-1d-budget", "plan-2d-on-3d", "disc-1d-on-2d", "zaremba-to-1", "moser-to-1",
          "moser-to-negative", "exhaustive-count", "exhaustive-seed", "spec-unknown-key", "halton-unknown-key",
          "nested-unknown-key", "digitsum-unknown-key", "plan-duplicate-key", "spec-file-duplicate-key",
-         "bits-not-hex"],
+         "bits-not-hex", "header-duplicate-count", "header-duplicate-repr"],
 )
 def test_malformed_numbers_exit_2(argv, text, names, tmp_path):
     path = tmp_path / "input"

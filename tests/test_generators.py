@@ -331,6 +331,8 @@ def test_stream_coordinates_stay_in_unit_interval():
         "kronecker:width=96,alphas=sqrt2|golden|7/16",
         "digital:q=3,L=12,matrices=onesrow|identity",
         "digital:q=3,L=6,matrices=random(size=8,seed=3)|finiterandom(size=8,seed=5,rho=1/2)",
+        "digital:q=3,L=12,matrices=onesrow|identity|random(size=12,seed=4)|finiterandom(size=12,seed=5,rho=1/3)"
+        "|rows:12..021",
         "digital-kronecker:q=2,L=2,series=1@1.0.1",
         "digital-kronecker:q=2,L=2,depth=8,series=1/1.1.1",
         "lattice:N=5,gens=1|2",
@@ -346,7 +348,16 @@ def test_spec_string_round_trip(text):
     canonical = spec_to_string(spec)
     again = parse_spec(canonical)
     assert spec_to_string(again) == canonical
+    assert again == spec
     assert stream(spec, 0, 4).rows() == stream(again, 0, 4).rows()
+
+
+def test_rows_token_reads_an_empty_part_as_a_zero_row():
+    spec = Digital(2, (GenMatrix.from_rows(2, [(), (1,)]),), 4)
+    text = spec_to_string(spec)
+    assert text == "digital:q=2,L=4,matrices=rows:.1"
+    assert [p[0] for p in stream(parse_spec(text), 0, 4).rows()] == [0, Fraction(1, 4), 0, Fraction(1, 4)]
+    assert parse_spec("digital:q=2,L=4,matrices=rows:1..1").matrices[0].rows == ((1,), (), (1,))
 
 
 def test_parse_spec_errors():
