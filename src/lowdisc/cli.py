@@ -2,8 +2,9 @@
 
 Numeric output is exact ``p/q`` by default; pass ``--decimal DIGITS`` where
 offered to render decimals instead.  Exit codes: 0 success, 2 validation
-error, 3 budget exceeded.  Every command is deterministic given its flags
-(sampling commands take explicit seeds).
+error, an unreadable file or a missing numpy, 3 budget exceeded.  Every
+command is deterministic given its flags (sampling commands take explicit
+seeds).
 
 The parser is built without loading any computational module: each command
 handler imports what it uses, so ``cfrac``, ``zaremba`` and ``moser`` load
@@ -254,7 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=("auto", "1d", "2d", "grid", "bracket"), default="auto")
     p.add_argument("--k", type=int, default=None,
                    help="bracket resolution (>= 2) of the star kind, for --algo bracket or auto in d >= 2;"
-                        " auto may lower it in d >= 3 to fit its cell cap")
+                        " auto lowers a larger k, in any d, to the largest whose (k+1)^d lattice fits its cell cap"
+                        " of 1e7 (3161 in 2D, 214 in 3D, 55 in 4D)")
     p.add_argument("--budget", type=int, default=None,
                    help="most grid cells (>= 1) a kernel may visit (corners, corner pairs or lattice points)")
     p.add_argument("--out")
@@ -342,6 +344,11 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ImportError as exc:
+        if exc.name != "numpy":
+            raise
+        print(f"error: this command needs numpy, which could not be imported ({exc})", file=sys.stderr)
         return 2
     return 0
 

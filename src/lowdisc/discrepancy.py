@@ -28,15 +28,15 @@ and :func:`star_disc_bracket` differ only in the corner grid they hand it.
   1997).  Floats prune; no floating point decides a maximum.
 
 A bracket request may come back exact.  The kernel on the lattice corners
-gives the lattice maximum ``lo``; one more pass over the lattice's closed
-prefix counts bounds every cell ``(a/k, b/k]``, b = a + 1: no corner
-inside exceeds ``max(vol(b) - closed(a)/N, closed(b)/N - vol(a))``
-(Thiemard, J. Complexity 17, 2001).  Its ``hi`` is the largest bound,
-rechecked in integers, which is tighter than ``lo`` plus d/k.  The cells
-whose bound can reach ``lo`` hold some critical corners, and the same pass
-evaluates them as it bounds them, on the same float filter and exact
-recheck.  If they and the points of the cells' slabs number at most
-(k + 1)^d, it returns the exact value.
+gives the lattice maximum ``lo``.  No corner inside a cell ``(a/k, b/k]``,
+b = a + 1, exceeds ``max(vol(b) - closed(a)/N, closed(b)/N - vol(a))``
+(Thiemard, J. Complexity 17, 2001), so only the cells whose bound can
+reach ``lo`` hold critical corners that may beat it.  One pass over the
+lattice's closed prefix counts finds them and evaluates them, on the same
+float filter and exact recheck.  If they and the points of the cells'
+slabs number at most (k + 1)^d, it returns the exact value.  Otherwise
+``hi`` is the largest cell bound, which is the kernel once more with every
+closed lattice index one less, and is tighter than ``lo`` plus d/k.
 
 The extreme kind in d >= 2 (:func:`extreme_disc_grid`) runs the same
 filter and recheck over every lower/upper corner pair, counting each box by
@@ -71,7 +71,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from typing import TYPE_CHECKING
 
 from .algebra import int_array
@@ -317,23 +317,24 @@ class _ExactMax:
         self.extents = [int_array(es, n * self.total + 1) for es in extents]
         self.slack = (4 * d + 2) * 2.0**-53 * n  # 2E
         self.best, self.exact = -math.inf, 0
-        self._rows = {}
 
     def nvol(self, index):
         """``N vol`` in float64 at the cells ``index``."""
         return reduce(operator.mul, (a[i] for a, i in zip(self.axes, index)))
 
-    def grid(self, rows: slice, cols: slice = slice(None)):
-        """The index of the cells in the axis-0 ``rows`` of the grid, every
-        other axis cut to ``cols``, and their ``N vol``; one row's product of
-        the other axes is kept per ``cols``."""
+    @cached_property
+    def _row(self):
+        """The index and ``N vol`` factor of one axis-0 row: the product of the other axes."""
         import numpy as np
 
-        if (cols.start, cols.stop) not in self._rows:
-            rest = np.ix_(np.arange(1), *(np.arange(len(a))[cols] for a in self.axes[1:]))[1:]
-            row = reduce(np.multiply.outer, (a[cols] for a in self.axes[1:]), np.ones(()))
-            self._rows[cols.start, cols.stop] = rest, row
-        rest, row = self._rows[cols.start, cols.stop]
+        rest = np.ix_(np.arange(1), *(np.arange(len(a)) for a in self.axes[1:]))[1:]
+        return rest, reduce(np.multiply.outer, self.axes[1:], np.ones(()))
+
+    def grid(self, rows: slice):
+        """The index of the cells in the axis-0 ``rows`` of the grid, and their ``N vol``."""
+        import numpy as np
+
+        rest, row = self._row
         index = (np.arange(len(self.axes[0]))[rows].reshape((-1,) + (1,) * len(rest)),) + rest
         return index, np.multiply.outer(self.axes[0][rows], row)
 
@@ -533,31 +534,6 @@ def _lattice_indices(columns, scales, k: int, lines):
     return closed, lower
 
 
-def _block_cells(closed, k: int, bounds: _ExactMax):
-    """Yield, block by block of the lattice's closed prefix counts, the cells
-    ``(a, a + 1]`` whose lower corner a lies in the block: the first such
-    row, the float bound of each side, ``N vol(a + 1) - closed(a)`` and
-    ``closed(a + 1) - N vol(a)``, and the counts ``closed(a)`` and
-    ``closed(a + 1)``.  ``bounds`` takes in both sides of a block before it
-    is yielded, so once the generator is drained it holds the largest bound."""
-    import numpy as np
-
-    d = closed.shape[1]
-    for r0, block in _prefix_counts(closed, (k + 1,) * d):
-        s = int(r0 == 0)  # block row i holds lattice row r0 - 1 + i
-        first, stop = r0 - 1 + s, r0 + len(block) - 2
-        if first >= stop:
-            continue
-        c_low = block[(slice(s, -1),) + (slice(1, -1),) * (d - 1)]
-        c_up = block[(slice(s + 1, None),) + (slice(2, None),) * (d - 1)]
-        up, upper = bounds.grid(slice(first + 1, stop + 1), slice(1, None))
-        low, lower = bounds.grid(slice(first, stop), slice(None, -1))
-        upper, lower = np.subtract(upper, c_low, out=upper), np.subtract(c_up, lower, out=lower)
-        bounds.add(up, 1, c_low, upper)
-        bounds.add(low, -1, c_up, lower)
-        yield first, upper, lower, c_low, c_up
-
-
 def _distinct(col, scale: int):
     """The sorted distinct values of a column, as an array: of a list column
     by sorting its set of Python ints (four times faster than ``np.unique``
@@ -613,16 +589,19 @@ def _cell_prefix_sums(hist, shape):
     return digits
 
 
-def _finish_bracket(columns, scales, closed, k: int, lines, blocks, cutoff: float):
+def _finish_bracket(columns, scales, closed, k: int, lines, lo: Fraction):
     """The exact maximum over the critical corners inside the lattice cells
-    where the float bound of a side reaches ``cutoff``, each side evaluated
-    in the cells where it does; or None when that costs more than the
+    where a side may exceed the lattice maximum ``lo``, each side evaluated
+    in the cells where it may; or None when that costs more than the
     lattice: when the cells' corners and the points of their slabs number
-    more than (k + 1)^d.  The cells come from ``blocks``, the generator of
-    :func:`_block_cells`, which it stops reading when it gives up.  Each
-    block's slab points are counted before its corners, and a block with no
-    such cell is skipped first, so that a bracket whose slabs alone exceed
-    the lattice sorts no column to find the corners.  The cells with a
+    more than (k + 1)^d.  It sums the lattice's closed prefix counts block
+    by block, and takes the cells of a block where the float bound of a
+    side, ``N vol(a + 1) - closed(a)`` or ``closed(a + 1) - N vol(a)``,
+    reaches ``cutoff``, ``N lo`` less 2E (E the error bound of
+    :class:`_ExactMax`); it stops the pass when it gives up.  Each block's
+    slab points are counted before its corners, and a block with no such
+    cell is skipped first, so that a bracket whose slabs alone exceed the
+    lattice sorts no column to find the corners.  The cells with a
     corner on every axis are queued, and the queue is evaluated whenever it
     holds more than ``_QUEUED_CELLS`` cells, and once at the end; a bracket
     that gives up drops what it evaluated.
@@ -714,18 +693,23 @@ def _finish_bracket(columns, scales, closed, k: int, lines, blocks, cutoff: floa
                 index, counts = corner_counts(*(x[a:b] for x in args), sign)
                 best.add(index, sign, counts, sign * (best.nvol(index) - counts))
 
-    def surviving(row, upper, lower, c_low, c_up):  # the cells where a side reaches cutoff, with a corner on every axis
-        upper, lower = upper >= cutoff, lower >= cutoff
-        hit = (upper | lower) & reduce(np.logical_and.outer, [held[0][row:row + len(upper)], *held[1:]])
-        hit = np.unravel_index(np.flatnonzero(hit), hit.shape)
-        cells = np.stack(hit, axis=1)
-        cells[:, 0] += row
-        return cells, c_low[hit], c_up[hit], upper[hit], lower[hit]
-
+    on_lattice = _ExactMax([range(k + 1)] * d, [k] * d, n)
+    cutoff = float(n * lo) - on_lattice.slack
     points = corners = 0.0  # in float64: exact below 2^53, and past it over budget anyway
     distinct, queue, queued = None, [], 0
-    # no loop variable holds a block's arrays, so none is alive through the last evaluation
-    for found in itertools.starmap(surviving, blocks):
+    for r0, block in _prefix_counts(closed, (k + 1,) * d):
+        pad = int(r0 == 0)  # block row i holds lattice row r0 - 1 + i
+        row, end = r0 - 1 + pad, r0 + len(block) - 2  # the cells (a, a + 1] with a_0 in [row, end)
+        nvol = on_lattice.grid(slice(row, end + 1))[1]
+        c_low = block[(slice(pad, -1),) + (slice(1, -1),) * (d - 1)]
+        c_up = block[(slice(pad + 1, None),) + (slice(2, None),) * (d - 1)]
+        upper = nvol[(slice(1, None),) * d] - c_low >= cutoff  # N vol(a + 1) - closed(a)
+        lower = c_up - nvol[(slice(-1),) * d] >= cutoff  # closed(a + 1) - N vol(a)
+        hit = (upper | lower) & reduce(np.logical_and.outer, [held[0][row:end], *held[1:]])
+        hit = np.unravel_index(np.flatnonzero(hit), hit.shape)
+        found = np.stack(hit, axis=1), c_low[hit], c_up[hit], upper[hit], lower[hit]
+        found[0][:, 0] += row
+        del block, nvol, c_low, c_up, upper, lower, hit  # so that none is alive through the last evaluation
         if not len(found[0]):
             continue
         points += float(slabs(found[0]).sum())
@@ -765,20 +749,28 @@ def star_disc_bracket(points, k: int, *, work_budget: int = DEFAULT_WORK_BUDGET)
     Complexity 17, 2001).  A corner on an axis value 0 counts no more than a
     lattice corner of volume 0.  So D* is at most ``hi``, the larger of
     ``lo`` and the largest cell bound, and ``hi`` is at most ``lo + d/k``.
-    ``lo`` comes from :func:`_star_kernel` on the lattice corners, ``hi``
-    from one pass of :func:`_block_cells`, each by the float filter and
-    exact recheck of :class:`_ExactMax`.
 
     A side of a cell whose float bound reaches ``lo`` less 2E (E the error
     bound of :class:`_ExactMax`) may exceed ``lo`` at a corner inside, and
-    :func:`_finish_bracket` evaluates those cells as the pass bounds them.
-    If their critical corners and the points of their slabs, from which
-    each side draws its shell, number at most (k + 1)^d, the result is
-    exact: the larger of ``lo`` and their maximum.  Otherwise it is the
-    bracket ``[lo, hi]`` at resolution k, whatever was evaluated before the
-    count ran over; the rest of the pass still bounds every cell.  A lattice
-    of more than ``work_budget`` corners, (k + 1)^d, is refused, so the
-    budget bounds the finishing too.
+    :func:`_finish_bracket` evaluates those cells in one pass over the
+    lattice's closed prefix counts.  If their critical corners and the
+    points of their slabs, from which each side draws its shell, number at
+    most (k + 1)^d, the result is exact: the larger of ``lo`` and their
+    maximum.  Otherwise it is the bracket ``[lo, hi]`` at resolution k,
+    whatever was evaluated before the count ran over.  A lattice of more
+    than ``work_budget`` corners, (k + 1)^d, is refused, so the budget
+    bounds the finishing too.
+
+    Both ends come from :func:`_star_kernel` on the lattice corners, by the
+    float filter and exact recheck of :class:`_ExactMax`: ``lo`` from the
+    closed and lower indices; ``hi``, for a bracket that stays open, from
+    the closed indices less one (clipped at 0, since :func:`_prefix_counts`
+    counts no index -1 on axis 0) as closed and the closed indices as lower.
+    Its open side at corner a + 1 is then ``N vol(a + 1) - closed(a)`` and
+    its closed side at corner a is ``closed(a + 1) - N vol(a)``.  A corner
+    with index 0 on an axis has an open side of at most 0, and one with
+    index k a closed side at most that of the corner one step in, so the
+    kernel's maximum is the largest cell bound.
     """
     columns, scales, represented = _normalize(points)
     if k < 2:
@@ -787,15 +779,16 @@ def star_disc_bracket(points, k: int, *, work_budget: int = DEFAULT_WORK_BUDGET)
     _check_cells("bracket lattice", (k + 1) ** d, work_budget)
     lines = [int_array([i * s // k for i in range(k)], s) for s in scales]  # x <= i/k iff x's numerator <= these
     closed, lower = _lattice_indices(columns, scales, k, lines)
-    lo = _star_kernel([range(k + 1)] * d, [k] * d, closed, lower)
-    bounds = _ExactMax([range(k + 1)] * d, [k] * d, n)
-    blocks = _block_cells(closed, k, bounds)
-    finished = _finish_bracket(columns, scales, closed, k, lines, blocks, float(n * lo) - bounds.slack)
-    for _ in blocks:  # a bracket that gave up still bounds every cell
-        pass
-    hi = max(lo, bounds.value)
+    lattice = [range(k + 1)] * d
+    lo = _star_kernel(lattice, [k] * d, closed, lower)
+    finished = _finish_bracket(columns, scales, closed, k, lines, lo)
     if finished is not None:
         lo = hi = max(lo, finished)
+    else:  # the largest cell bound: the kernel with every closed index one less, in lower's buffer
+        import numpy as np
+
+        np.maximum(np.subtract(closed, 1, out=lower), 0, out=lower)
+        hi = max(lo, _star_kernel(lattice, [k] * d, lower, closed))
     return DiscrepancyResult("star", n, d, lo, hi, None if lo == hi else k, represented)
 
 

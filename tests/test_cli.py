@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import itertools
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
@@ -199,6 +200,15 @@ def test_validation_exit_codes(tmp_path):
     assert run_cli("disc", "--in", str(missing))[0] == 2
     code, _, err = run_cli("experiment", "--preset", "nonesuch")
     assert code == 2 and "available" in err
+
+
+def test_a_missing_numpy_exits_2_where_a_command_needs_it(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # every import of numpy fails
+    code, out, err = run_cli("gen", "--spec", "halton:bases=2", "--count", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "numpy" in err and len(err.splitlines()) == 1
+    code, out, _ = run_cli("cfrac", "--bl", "3")
+    assert code == 0 and out.startswith("K,A_K,B_K")
 
 
 PLAN = "spec = halton:bases=2\nschedule = 16,32\n"

@@ -471,6 +471,18 @@ def test_auto_sweeps_a_tie_heavy_set_past_n_3162(monkeypatch):
         assert compute_discrepancy(points) == star_disc_exact(points)
 
 
+def test_auto_caps_the_bracket_resolution_in_every_dimension(monkeypatch):
+    """auto brackets at the largest k up to the asked one whose (k + 1)^d
+    lattice fits AUTO_EXACT_CAP, in 2D as in 3D: at a cap of 10^4 that is 99
+    in 2D and 20 in 3D.  Finishing is off, so the resolution shows."""
+    monkeypatch.setattr(discrepancy, "AUTO_EXACT_CAP", 10**4)
+    monkeypatch.setattr(discrepancy, "_finish_bracket", lambda *args: None)
+    for spec, n, cap, k in ((Halton((2, 3)), 101, 99, 50), (Halton((2, 3, 5)), 30, 20, 8)):
+        points = stream(spec, 0, n)
+        assert compute_discrepancy(points).resolution == cap
+        assert compute_discrepancy(points, k=k).resolution == k
+
+
 def test_auto_extreme_runs_the_pair_grid_under_the_budget():
     points = stream(Halton((2, 3)), 0, 57)  # N^2d = 10556001, past AUTO_EXACT_CAP
     assert compute_discrepancy(points, kind="extreme") == extreme_disc_grid(points)
@@ -557,6 +569,18 @@ def test_requests_are_checked_once_the_dimension_is_known():
     assert compute_discrepancy(rows2, k=2).value == Fraction(3, 4)
     with pytest.raises(ValidationError, match="empty point set"):
         compute_discrepancy([], k=8)
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([(Fraction(1, 2), Fraction(5, 4)), (0, 0)], r"coordinate 5/4 outside \[0, 1\)"),
+        ([(0,), (0, 0)], "points of mixed dimension"),
+    ],
+)
+def test_points_out_of_range_or_of_mixed_dimension_are_refused(points, message):
+    with pytest.raises(ValidationError, match=message):
+        compute_discrepancy(points)
 
 
 def test_compute_auto_falls_back_to_bracket(monkeypatch):

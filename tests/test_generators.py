@@ -335,6 +335,7 @@ def test_stream_coordinates_stay_in_unit_interval():
         "|rows:12..021",
         "digital-kronecker:q=2,L=2,series=1@1.0.1",
         "digital-kronecker:q=2,L=2,depth=8,series=1/1.1.1",
+        "digital-kronecker:q=2,L=4,series=0@0",
         "lattice:N=5,gens=1|2",
         "rational-net:q=2,f=1.1.1,gs=1|1.1",
         "hammersley:N=8,bases=2",

@@ -79,3 +79,13 @@ def test_a_finishing_bracket_holds_one_lattice_block_and_its_queue():
     # 2.21 MiB; a bracket that kept its lattice pass's last block and cell bounds alive beside the
     # queue took 2.67 MiB
     assert peak < 2.45 * MB
+
+
+def test_an_open_bracket_finds_hi_in_the_lower_index_buffer():
+    points = stream(preset("c1-counterexample").spec, 0, 6**6)
+    star_disc_bracket(points.head(36), 512)
+    result, peak = traced_peak(lambda: star_disc_bracket(points, 512))
+    assert result.resolution == 512
+    # 3.11 MiB; the bound pass beside the finishing took 3.36 MiB, and a fresh N x d index array
+    # for the kernel of hi 3.72 MiB
+    assert peak < 3.5 * MB
