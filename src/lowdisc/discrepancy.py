@@ -289,7 +289,7 @@ def _prefix_counts(index, shape):
 
 class _ExactMax:
     """Exact maximum of ``max(vol - open/N, closed/N - vol)`` over cells
-    handed in batch by batch, each side on its own.
+    handed in batch by batch.
 
     Cell ``(i_0, ..., i_{d-1})`` has volume ``prod_j extents[j][i_j] / scales[j]``
     (each extent an integer in ``[0, scales[j]]``); a batch names its cells
@@ -338,26 +338,22 @@ class _ExactMax:
         index = (np.arange(len(self.axes[0]))[rows].reshape((-1,) + (1,) * len(rest)),) + rest
         return index, np.multiply.outer(self.axes[0][rows], row)
 
-    def add(self, index, sign: int, count, value) -> None:
-        """Take in one side of the cells ``index``: ``value`` is the float
-        ``sign (N vol - count)`` of each."""
+    def add(self, index, nvol, c_open, c_closed) -> None:
+        """Take in both sides of the cells ``index``, of float ``N vol``
+        ``nvol``, from their open and closed counts."""
         import numpy as np
 
-        top = float(value.max())
-        if top >= self.best - self.slack:
-            self.best = max(self.best, top)
-            hit = np.unravel_index(np.flatnonzero(value >= self.best - self.slack), value.shape)
-            cell = (np.broadcast_to(i, value.shape)[hit] for i in index)
-            lam = reduce(np.multiply, (e[c] for e, c in zip(self.extents, cell)), self.n)
-            counts = count[hit].astype(self.extents[0].dtype)
-            self.exact = max(self.exact, int((sign * (lam - counts * self.total)).max()))
-
-    def add_rows(self, r0: int, c_open, c_closed) -> None:
-        """Take in both sides of a block of grid rows from axis-0 index r0 on,
-        with their open and closed counts."""
-        index, nvol = self.grid(slice(r0, r0 + len(c_open)))
-        self.add(index, 1, c_open, nvol - c_open)
-        self.add(index, -1, c_closed, c_closed - nvol)
+        for sign, count in ((1, c_open), (-1, c_closed)):
+            value = nvol - count if sign == 1 else count - nvol
+            top = float(value.max())
+            if top >= self.best - self.slack:
+                self.best = max(self.best, top)
+                hit = np.unravel_index(np.flatnonzero(value >= self.best - self.slack), value.shape)
+                cell = (np.broadcast_to(i, value.shape)[hit] for i in index)
+                lam = reduce(np.multiply, (e[c] for e, c in zip(self.extents, cell)), self.n)
+                counts = count[hit].astype(self.extents[0].dtype)
+                self.exact = max(self.exact, int((sign * (lam - counts * self.total)).max()))
+                del hit, lam, counts  # so that none is alive through the other side
 
     @property
     def value(self) -> Fraction:
@@ -383,7 +379,7 @@ def _star_kernel(corners, scales, closed, lower) -> Fraction:
     else:
         hists = ((r0, h, g) for (r0, h), (_, g) in zip(counts, _prefix_counts(lower, shape)))
     for r0, h, g in hists:
-        best.add_rows(r0, g[(slice(-1),) * d], h[(slice(1, None),) * d])
+        best.add(*best.grid(slice(r0, r0 + len(h) - 1)), g[(slice(-1),) * d], h[(slice(1, None),) * d])
     return best.value
 
 
@@ -503,7 +499,7 @@ def extreme_disc_grid(points, *, work_budget: int = DEFAULT_WORK_BUDGET) -> Disc
             _box_counts(prefix, [tuple(b[rows] for b in bounds[0]), *bounds[1:]])
             for bounds in (open_bounds, closed_bounds)
         )
-        best.add_rows(r0, c_open, c_closed)
+        best.add(*best.grid(rows), c_open, c_closed)
     value = best.value
     return DiscrepancyResult("extreme", n, d, value, value, represented=represented)
 
@@ -552,77 +548,52 @@ def _distinct_count(col) -> int:
     return len(set(col)) if isinstance(col, list) else len(_distinct(col, 0))  # the scale serves lists only
 
 
-def _cell_prefix_sums(hist, shape):
-    """Prefix-sum every cell's own grid of corners along each axis, in place.
-
-    Cell t has ``shape[t]`` corners, stored row-major one cell after another
-    in ``hist``.  Returns each corner's index within its cell, one array per
-    axis.  Along the last axis every line is a run of consecutive entries;
-    along another axis j a permutation lists each cell's corners with j
-    varying fastest.  Either way a line's prefix sums are one cumsum less
-    the sum before the line's start.
-    """
-    import numpy as np
-
-    d = shape.shape[1]
-    owner, digits = np.arange(len(shape)), []
-    for j in range(d):  # split each run of the corners of axes < j into shape[., j] runs
-        m = shape[owner, j]
-        digits = [np.repeat(digit, m) for digit in digits]
-        digits.append(np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m))
-        owner = np.repeat(owner, m)
-    position = np.arange(len(owner))
-    inner, below = 1, 0  # per corner, the stride of axis j and its offset within that stride
-    for j in reversed(range(d)):
-        digit, m = digits[j], shape[owner, j]
-        if j == d - 1:
-            order, start = slice(None), position - digit
-        else:  # order: position in the axis-j-fastest layout -> row-major position
-            order = np.empty(len(position), dtype=np.int64)
-            order[position + digit * (1 - inner) + below * (m - 1)] = position
-            start = position - digit[order]
-        run = hist[order]
-        summed = np.cumsum(run)
-        hist[order] = summed - (summed - run)[start]
-        below = below + digit * inner
-        inner = inner * m
-    return digits
-
-
 def _finish_bracket(columns, scales, closed, k: int, lines, lo: Fraction):
     """The exact maximum over the critical corners inside the lattice cells
-    where a side may exceed the lattice maximum ``lo``, each side evaluated
-    in the cells where it may; or None when that costs more than the
-    lattice: when the cells' corners and the points of their slabs number
-    more than (k + 1)^d.  It sums the lattice's closed prefix counts block
-    by block, and takes the cells of a block where the float bound of a
-    side, ``N vol(a + 1) - closed(a)`` or ``closed(a + 1) - N vol(a)``,
-    reaches ``cutoff``, ``N lo`` less 2E (E the error bound of
-    :class:`_ExactMax`); it stops the pass when it gives up.  Each block's
-    slab points are counted before its corners, and a block with no such
-    cell is skipped first, so that a bracket whose slabs alone exceed the
-    lattice sorts no column to find the corners.  The cells with a
-    corner on every axis are queued, and the queue is evaluated whenever it
-    holds more than ``_QUEUED_CELLS`` cells, and once at the end; a bracket
-    that gives up drops what it evaluated.
+    where a side may exceed the lattice maximum ``lo``; or None when that
+    costs more than the lattice: when the cells' corners and the points of
+    their slabs number more than (k + 1)^d.  It sums the lattice's closed
+    prefix counts block by block, and takes the cells of a block where the
+    float bound of a side, ``N vol(a + 1) - closed(a)`` or
+    ``closed(a + 1) - N vol(a)``, reaches ``cutoff``, ``N lo`` less 2E (E
+    the error bound of :class:`_ExactMax`); it stops the pass when it gives
+    up.  Each block's slab points are counted before its corners, and a
+    block with no such cell is skipped first, so that a bracket whose slabs
+    alone exceed the lattice sorts no column to find the corners.  The
+    cells with a corner on every axis are queued with ``closed(a)`` and
+    ``closed(a + 1)``, and the queue is evaluated whenever it holds more
+    than ``_QUEUED_CELLS`` cells, and once at the end; a bracket that gives
+    up drops what it evaluated.
 
     On axis j the cell ``(a_j/k, (a_j + 1)/k]`` holds the distinct
     coordinates in it, and the last cell the scale too.  A corner c in cell
     a counts the points of ``closed(a)``, which all lie below c, and those
     points of the cell's shell (within a + 1 on every axis but not within a)
     that lie below c.  The shell is drawn from the cell's d slabs, the
-    points with ``x_j`` in ``(a_j/k, (a_j + 1)/k]``, each side walking them
-    once.  Each shell point is entered in a histogram over the cell's own
-    corners at the first corner at or above it (closed counting) or above it
-    (open counting), and the histogram is prefix-summed.
+    points with ``x_j`` in ``(a_j/k, (a_j + 1)/k]``.
 
-    Each side is evaluated on a box of the cell's corners only.  The open
-    side at c is at most ``N vol(c) - closed(a)``, so on each axis the
-    corners that stay below ``cutoff`` with the cell's largest corners on
-    the other axes are dropped from below; the closed side at c is at most
+    Each side bounds a box of the cell's corners.  The open side at c is at
+    most ``N vol(c) - closed(a)``, so on each axis the corners that stay
+    below ``cutoff`` with the cell's largest corners on the other axes are
+    dropped from below; the closed side at c is at most
     ``closed(a + 1) - N vol(c)``, so corners are dropped from above against
     the smallest ones.  The thresholds carry a relative margin of 2^-40,
-    far above the float error of a product of d quotients.
+    far above the float error of a product of d quotients.  A side that
+    cannot reach ``cutoff`` anywhere in the cell empties its box, and both
+    sides are evaluated on every box that is left.
+
+    Boxes are sorted by shape and evaluated in batches of at most
+    ``_CORNER_BATCH`` padded corners and slab points, or of one box, each
+    batch on one closed-count grid padded to its largest box, as
+    :func:`_prefix_counts` pads a block: entry i + 1 on axis j counts the
+    points at or below the box's corner i, entry 0 those below the box.
+    Each shell point is entered at its own entry, one cumsum per axis sums
+    the grid, and ``closed(a)`` is added; corner i reads its closed count
+    at entry i + 1 and its open count at entry i.  A padded corner re-reads
+    the box's last corner, with the closed count there as both counts,
+    which can only under-estimate.  So a bracket evaluates at most twice
+    the real corners and points it counts, two boxes per cell, plus the
+    padding.
     """
     import numpy as np
 
@@ -640,7 +611,7 @@ def _finish_bracket(columns, scales, closed, k: int, lines, lo: Fraction):
         edge = np.stack([a[i] for a, i in zip(best.axes, (stop - 1 if sign == 1 else start).T)], axis=1)
         need = (cutoff + base) * (1 - 2.0**-40) if sign == 1 else (c_up - cutoff) * (1 + 2.0**-40)
         for j in range(d):
-            limit = need / np.prod(np.delete(edge, j, axis=1), axis=1)
+            limit = need / reduce(operator.mul, (edge[:, i] for i in range(d) if i != j), 1.0)
             at = np.searchsorted(best.axes[j], limit, side="left" if sign == 1 else "right")
             if sign == 1:
                 start[:, j] = np.clip(at, start[:, j], stop[:, j])
@@ -648,29 +619,28 @@ def _finish_bracket(columns, scales, closed, k: int, lines, lo: Fraction):
                 stop[:, j] = np.clip(at, start[:, j], stop[:, j])
         return start, stop - start
 
-    def corner_counts(cells, base, start, shape, sign):  # the open (sign 1) or closed (-1) count at each corner
-        m = len(cells)
-        stride = np.ones_like(shape)  # row-major within each cell
-        for j in range(d - 2, -1, -1):
-            stride[:, j] = stride[:, j + 1] * shape[:, j + 1]
-        size = shape.prod(axis=1)
+    def corner_counts(cells, base, start, shape):  # the boxes' corners, padded to one shape, and closed counts
+        top = shape.max(axis=0)
+        dims = (len(cells), *(top + 1))
         owners, points = [], []
         for j in range(d):  # each shell point once, on the first axis where it lies in (a_j, a_j + 1]
             lo, hi = bucket[j][cells[:, j] + 1], bucket[j][cells[:, j] + 2]
-            t = np.repeat(np.arange(m), hi - lo)
+            t = np.repeat(np.arange(len(cells)), hi - lo)
             p = order[j][np.arange(len(t)) + np.repeat(lo - np.cumsum(hi - lo) + (hi - lo), hi - lo)]
             inside = (closed[p] <= cells[t] + 1).all(axis=1) & (closed[p, :j] <= cells[t, :j]).all(axis=1)
             owners.append(t[inside])
             points.append(p[inside])
         t, p = np.concatenate(owners), np.concatenate(points)
-        # the first corner of the box at or above (closed) or above (open) each point, 0 below the box
-        at = np.maximum(rank[p] - start[t] + (sign == 1), 0)
-        inside = (at < shape[t]).all(axis=1)  # past the box on an axis: below no corner of it
-        at = (np.cumsum(size) - size)[t[inside]] + (at[inside] * stride[t[inside]]).sum(axis=1)
-        hist = np.bincount(at, minlength=int(size.sum()))
-        digits = _cell_prefix_sums(hist, shape)
-        index = tuple(np.repeat(start[:, j], size) + digits[j] for j in range(d))
-        return index, hist + np.repeat(base, size)
+        at = np.maximum(rank[p] - start[t] + 1, 0)  # each point's entry, 0 below the box
+        inside = (at <= shape[t]).all(axis=1)  # past the box on an axis: below no corner of it
+        grid = np.bincount(np.ravel_multi_index((t[inside], *at[inside].T), dims), minlength=math.prod(dims))
+        grid = grid.reshape(dims)
+        for axis in range(1, d + 1):
+            np.cumsum(grid, axis=axis, out=grid)
+        index = tuple(np.minimum(s[:, None] + np.arange(m), s[:, None] + c[:, None] - 1)  # padding: the last corner
+                      .reshape((-1,) + (1,) * j + (m,) + (1,) * (d - 1 - j))
+                      for j, (s, c, m) in enumerate(zip(start.T, shape.T, top)))
+        return index, grid + base.reshape((-1,) + (1,) * d)
 
     def evaluate(queue):
         nonlocal rank, order, bucket, best
@@ -679,19 +649,22 @@ def _finish_bracket(columns, scales, closed, k: int, lines, lo: Fraction):
             order = [np.argsort(closed[:, j], kind="stable") for j in range(d)]  # the points by closed lattice index
             bucket = [np.concatenate(([0], np.cumsum(l))) for l in line]  # where each closed index starts in order
             best = _ExactMax([v.tolist() + [s] for v, s in zip(distinct, scales)], scales, n)
-        cells, base, c_up, *sides = (np.concatenate(x) for x in zip(*queue))
-        for sign, side in zip((1, -1), sides):
-            start, shape = box(cells[side], base[side], c_up[side], sign)
-            keep = shape.prod(axis=1) > 0
-            if not keep.any():
-                continue
-            args = cells[side][keep], base[side][keep], start[keep], shape[keep]
-            weight = shape[keep].prod(axis=1) + slabs(args[0])  # a batch is capped by corners and points
-            batch = (np.cumsum(weight) - weight) // _CORNER_BATCH
-            edges = np.flatnonzero(np.diff(batch)) + 1
-            for a, b in zip([0, *edges], [*edges, len(batch)]):
-                index, counts = corner_counts(*(x[a:b] for x in args), sign)
-                best.add(index, sign, counts, sign * (best.nvol(index) - counts))
+        cells, base, c_up = (np.concatenate(x) for x in zip(*queue))
+        start, shape = (np.concatenate(x) for x in zip(*(box(cells, base, c_up, sign) for sign in (1, -1))))
+        keep = np.flatnonzero(shape.prod(axis=1) > 0)
+        keep = keep[np.lexsort(shape[keep].T)]  # by box shape, the last axis first
+        cells, base, start, shape = np.tile(cells, (2, 1))[keep], np.tile(base, 2)[keep], start[keep], shape[keep]
+        slab = np.cumsum(slabs(cells))
+        a = 0
+        while a < len(cells):  # greedily, the most boxes whose padded corners and slab points fit a batch
+            run = shape[a:a + _CORNER_BATCH]  # no more fit: each holds a corner
+            size = np.arange(1, len(run) + 1) * np.maximum.accumulate(run, axis=0).prod(axis=1)
+            size += slab[a:a + len(run)] - (slab[a - 1] if a else 0)
+            b = a + max(1, int(np.searchsorted(size, _CORNER_BATCH, side="right")))
+            index, counts = corner_counts(cells[a:b], base[a:b], start[a:b], shape[a:b])
+            best.add(index, best.nvol(index), counts[(slice(None),) + (slice(-1),) * d],
+                     counts[(slice(None),) + (slice(1, None),) * d])
+            a = b
 
     on_lattice = _ExactMax([range(k + 1)] * d, [k] * d, n)
     cutoff = float(n * lo) - on_lattice.slack
@@ -707,7 +680,7 @@ def _finish_bracket(columns, scales, closed, k: int, lines, lo: Fraction):
         lower = c_up - nvol[(slice(-1),) * d] >= cutoff  # closed(a + 1) - N vol(a)
         hit = (upper | lower) & reduce(np.logical_and.outer, [held[0][row:end], *held[1:]])
         hit = np.unravel_index(np.flatnonzero(hit), hit.shape)
-        found = np.stack(hit, axis=1), c_low[hit], c_up[hit], upper[hit], lower[hit]
+        found = np.stack(hit, axis=1), c_low[hit], c_up[hit]
         found[0][:, 0] += row
         del block, nvol, c_low, c_up, upper, lower, hit  # so that none is alive through the last evaluation
         if not len(found[0]):
@@ -754,7 +727,7 @@ def star_disc_bracket(points, k: int, *, work_budget: int = DEFAULT_WORK_BUDGET)
     bound of :class:`_ExactMax`) may exceed ``lo`` at a corner inside, and
     :func:`_finish_bracket` evaluates those cells in one pass over the
     lattice's closed prefix counts.  If their critical corners and the
-    points of their slabs, from which each side draws its shell, number at
+    points of their slabs, from which each box draws its shell, number at
     most (k + 1)^d, the result is exact: the larger of ``lo`` and their
     maximum.  Otherwise it is the bracket ``[lo, hi]`` at resolution k,
     whatever was evaluated before the count ran over.  A lattice of more

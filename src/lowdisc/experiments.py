@@ -96,8 +96,8 @@ class ExperimentPlan:
             raise ValidationError("schedule entries must be >= 1")
         if any(a >= b for a, b in zip(self.schedule, self.schedule[1:])):
             raise ValidationError("schedule must be strictly increasing")
-        if self.norm_exponent < 0:
-            raise ValidationError("normalization exponent must be >= 0")
+        if not (math.isfinite(self.norm_exponent) and self.norm_exponent >= 0):
+            raise ValidationError(f"normalization exponent must be finite and >= 0, got {self.norm_exponent}")
         check_request(self.spec.dim, self.kind, self.algo, self.bracket_k)
 
 

@@ -225,6 +225,8 @@ DIGITAL = "digital:q=3,L=4,matrices="
         (("experiment", "--preset", "halton-2-3", "--schedule", "16,x"), None, "--schedule"),
         (("experiment", "--plan", "{file}"), PLAN + "k = abc\n", ": k:"),
         (("experiment", "--plan", "{file}"), PLAN + "p = abc\n", ": p:"),
+        (("experiment", "--plan", "{file}"), PLAN + "p = nan\n", "exponent must be finite and >= 0, got nan"),
+        (("experiment", "--plan", "{file}"), PLAN + "p = inf\n", "exponent must be finite and >= 0, got inf"),
         (("experiment", "--plan", "{file}"), "spec = halton:bases=2\nschedule = 16,x\n", ": schedule:"),
         (("fit", "--in", "{file}"), "n,value\n16,1/4\n", "no N column"),
         (("fit", "--in", "{file}"), "N,value\n16,1/4\nabc,1/8\n", "input:3:"),
@@ -278,9 +280,9 @@ DIGITAL = "digital:q=3,L=4,matrices="
         (("disc", "--in", "{file}"), "# dim=2 count=3 count=2\n0\t0\n1/2\t1/2\n", "line 1: duplicate header key 'count'"),
         (("disc", "--in", "{file}"), "# dim=2 repr=exact repr=fixedpoint(8)\n0\t0\n", "line 1: duplicate header key 'repr'"),
     ],
-    ids=["rational", "gens", "schedule", "plan-k", "plan-p", "plan-schedule", "fit-no-N", "fit-N",
-         "fit-value", "fit-short-row", "random-size", "finiterandom-seed", "finiterandom-rho", "rows",
-         "cfrac-bl", "op12-width-0", "op12-two-alphas", "halton-alpha-width", "op9-alpha", "plan-alpha",
+    ids=["rational", "gens", "schedule", "plan-k", "plan-p", "plan-p-nan", "plan-p-inf", "plan-schedule",
+         "fit-no-N", "fit-N", "fit-value", "fit-short-row", "random-size", "finiterandom-seed", "finiterandom-rho",
+         "rows", "cfrac-bl", "op12-width-0", "op12-two-alphas", "halton-alpha-width", "op9-alpha", "plan-alpha",
          "plan-width", "plan-algo", "plan-k-1", "plan-unknown-key", "disc-2d-k", "disc-grid-k",
          "disc-bracket-k-1", "disc-auto-k-1", "disc-extreme-k", "disc-1d-k", "preset-1d-k", "plan-grid-k",
          "disc-budget-0", "disc-1d-budget", "plan-2d-on-3d", "disc-1d-on-2d", "zaremba-to-1", "moser-to-1",

@@ -77,6 +77,14 @@ def test_plan_from_settings_refuses_unknown_keys():
     assert (plan.algo, plan.bracket_k, plan.norm_exponent) == ("bracket", 8, 2.0)
 
 
+def test_plan_from_settings_refuses_a_non_finite_exponent():
+    """``p = nan`` read every normalized cell as nan, ``p = inf`` as 0."""
+    settings = {"spec": "halton:bases=2|3", "schedule": "16,32,64"}
+    for p in ("nan", "inf", "-inf", "1e999"):
+        with pytest.raises(ValidationError, match="normalization exponent must be finite and >= 0"):
+            plan_from_settings({**settings, "p": p}, "f")
+
+
 def test_plan_validation():
     with pytest.raises(ValidationError):
         ExperimentPlan(spec=Halton((2,)), schedule=())

@@ -21,7 +21,7 @@ import pytest
 from lowdisc import discrepancy
 from lowdisc.discrepancy import compute_discrepancy, star_disc_2d_sweep, star_disc_bracket, star_disc_exact
 from lowdisc.experiments import preset
-from lowdisc.generators import EXACT, Columns, int_column, int_list, stream
+from lowdisc.generators import EXACT, Columns, Halton, int_column, int_list, stream
 
 
 def reference_max(columns, scales, corners, units) -> Fraction:
@@ -173,14 +173,14 @@ def test_finished_brackets_match_the_reference(path, monkeypatch):
         if value is not None:
             monkeypatch.setattr(discrepancy, name, value)
     evaluations = 0
-    prefix_sums = discrepancy._cell_prefix_sums
+    nvol = discrepancy._ExactMax.nvol  # only the evaluation of cells calls it
 
     def counted(*args):
         nonlocal evaluations
         evaluations += 1
-        return prefix_sums(*args)
+        return nvol(*args)
 
-    monkeypatch.setattr(discrepancy, "_cell_prefix_sums", counted)
+    monkeypatch.setattr(discrepancy._ExactMax, "nvol", counted)
     rng = random.Random(f"finish-{path}")
     finished = wasted = 0
     for k in range(2, 17):
@@ -198,6 +198,38 @@ def test_finished_brackets_match_the_reference(path, monkeypatch):
     assert finished >= 40  # of 90: the finishing itself is checked, not only containment
     if path == (0, 1, 1):  # evaluated one-row blocks, then gave up: none of that work leaks into the bracket
         assert wasted >= 1
+
+
+@pytest.mark.parametrize("spec, n, k", [(preset("hammersley-lattice").spec, 233, 128), (Halton((2, 3, 5)), 648, 214)],
+                         ids=["hammersley-lattice", "halton-2-3-5"])
+def test_finishing_batches_hold_at_most_the_cap(spec, n, k, monkeypatch):
+    """A batch of more than one box holds at most ``_CORNER_BATCH`` padded
+    corners and slab points.  The box shapes of these sets vary: batches
+    cut on real corners instead held up to 6,514 and 11,914."""
+    points = stream(spec, 0, n)
+    batches = []
+    nvol = discrepancy._ExactMax.nvol
+
+    def recorded(self, index):
+        batches.append(index)
+        return nvol(self, index)
+
+    monkeypatch.setattr(discrepancy._ExactMax, "nvol", recorded)
+    assert star_disc_bracket(points, k).resolution is None
+    scale, columns = points.scales, [int_list(col) for col in points.columns]
+    corners = [sorted(set(col)) + [s] for col, s in zip(columns, scale)]
+    slab = [np.bincount([-(-x * k // s) for x in col], minlength=k + 1) for col, s in zip(columns, scale)]
+    several = 0
+    for index in batches:
+        shape = np.broadcast_shapes(*(i.shape for i in index))
+        if shape[0] == 1:
+            continue
+        several += 1
+        # a box's cell a_j holds its first corner c_j, a_j/k < c_j <= (a_j + 1)/k; its slab, ceil(x_j k) = a_j + 1
+        points_in_slabs = sum(int(slab[j][-(-corners[j][c] * k // scale[j])]) for j, i in enumerate(index)
+                              for c in i.reshape(shape[0], -1)[:, 0].tolist())
+        assert math.prod(shape) + points_in_slabs <= discrepancy._CORNER_BATCH
+    assert several >= 3
 
 
 def test_a_finished_bracket_matches_the_sweep_on_c1():
