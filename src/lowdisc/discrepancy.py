@@ -21,6 +21,11 @@ and :func:`star_disc_bracket` differ only in the corner grid they hand it.
   histogram over rank space (Dobkin, Eppstein and Mitchell, ACM TOG 15(4),
   1996), summed one block of axis-0 rows at a time with a copy of the last
   row carried over, so besides O(N d) index words memory holds one block.
+  A block is summed densely (a histogram, then one cumsum per axis) or, on
+  grids with few points per row, built row by row: a copy of the row before
+  plus 1 on each of its points' suffix boxes.  The way is chosen once per
+  call by an exact count of the cells each touches, with a measured cost
+  per point and per call (``_sums_by_suffix``).
 * Float filter, exact recheck: a block is evaluated in float64 under an
   error bound E derived beside the code, and its cells within 2E of the
   float maximum so far are rechecked at once in integer arithmetic, keeping
@@ -254,6 +259,37 @@ _QUEUED_CELLS = 1 << 12
 _CORNER_BATCH = 1 << 12
 
 
+# A block is summed one of two ways, chosen once per call by _sums_by_suffix
+# from a count of the work in cells, each about 2 ns of a dense pass (x86-64,
+# 2 vCPUs, numpy 2.4: 1.95-2.6 ns over 2D to 4D grids of 10^5 to 4.2 x 10^6
+# cells).  The suffix way costs, besides its row copies and suffix boxes,
+# 3-4 us per point for the numpy calls of its Python loop and 8 us per call
+# for the count itself: _SUFFIX_POINT_CELLS and _SUFFIX_CALL_CELLS in cells.
+# Over the 327 calls of the presets, the benchmark's commands, d = 3 sweeps
+# and brackets and 2D brackets up to k = 4096 (1.07 s when each call took the
+# faster way), a point cost of 750 to 1,000 cells lost at most 0.3 ms.
+_SUFFIX_POINT_CELLS = 1000
+_SUFFIX_CALL_CELLS = 4000
+
+
+def _sums_by_suffix(index, shape) -> bool:
+    """Whether :func:`_prefix_counts` builds its rows by suffix increments:
+    whether ``rows * row_cells + sum_p prod_{j >= 1} (m_j - index_pj)``
+    (m_j = ``shape[j]``), the row copies and the suffix box of every point, plus
+    ``_SUFFIX_CALL_CELLS + N * _SUFFIX_POINT_CELLS`` is below the dense
+    way's ``(d + 1) * rows * row_cells``.  The count over the points is made
+    only when the rest alone stays below."""
+    import numpy as np
+
+    n, d = index.shape
+    cells = shape[0] * math.prod(m + 1 for m in shape[1:])
+    fixed = cells + _SUFFIX_CALL_CELLS + n * _SUFFIX_POINT_CELLS
+    if fixed >= (d + 1) * cells:
+        return False
+    boxes = int(np.subtract(shape[1:], index[:, 1:]).prod(axis=1).sum())  # a box fits a row: no overflow
+    return fixed + boxes < (d + 1) * cells
+
+
 def _prefix_counts(index, shape):
     """Yield ``(r0, block)`` for consecutive runs of axis-0 rows of the grid.
 
@@ -261,6 +297,13 @@ def _prefix_counts(index, shape):
     ``(r0 + a - 1, b - 1, ...)`` on every axis, so index -1 reads 0 and
     ``block[0]`` repeats the last row of the previous block: a histogram over
     rank space, summed one block at a time with the last row carried over.
+
+    A block is summed densely, as a histogram of its points (a ``bincount``)
+    prefix-summed by one ``cumsum`` per axis, or, when :func:`_sums_by_suffix`
+    finds it cheaper, built row by row: each row a copy of the row before
+    it, plus 1 on the suffix box ``row[y:, z:, ...]`` (padded indices) of
+    each of its points.  Both yield the same blocks; the suffix way pays
+    for a point's whole box, so it serves grids with few points per row.
     """
     import numpy as np
 
@@ -269,20 +312,35 @@ def _prefix_counts(index, shape):
     row_cells = math.prod(row)
     step = max(1, _BLOCK_CELLS // row_cells)
     flat = np.sort(np.ravel_multi_index(tuple((index + 1).T), padded))
+    suffix = _sums_by_suffix(index, shape)
     carry = np.zeros(row, dtype=np.int64)
     for r0 in range(0, shape[0], step):
         r1 = min(r0 + step, shape[0])
         lo, hi = np.searchsorted(flat, ((r0 + 1) * row_cells, (r1 + 1) * row_cells))
-        block = np.bincount(flat[lo:hi] - r0 * row_cells, minlength=(r1 - r0 + 1) * row_cells)
-        block = block.reshape((r1 - r0 + 1,) + row)
-        for axis in range(1, len(padded)):
-            np.cumsum(block[1:], axis=axis, out=block[1:])
-        block[0] = carry
-        if row_cells >= 512:  # numpy's cumsum along axis 0 is slow on long rows: add them one by one
-            for i in range(1, len(block)):
-                block[i] += block[i - 1]
-        else:  # rows loop slower than the cumsum below about 300 cells (x86-64)
-            np.cumsum(block, axis=0, out=block)
+        if suffix:
+            block = np.empty((r1 - r0 + 1,) + row, dtype=np.int64)
+            block[0] = carry
+            built = 0
+            at = np.unravel_index(flat[lo:hi] - r0 * row_cells, block.shape)
+            for i, *box in zip(*(a.tolist() for a in at)):
+                if i > built:
+                    block[built + 1:i + 1] = block[built]
+                    built = i
+                block[(i, *(slice(y, None) for y in box))] += 1
+            block[built + 1:] = block[built]
+        else:
+            block = np.bincount(flat[lo:hi] - r0 * row_cells, minlength=(r1 - r0 + 1) * row_cells)
+            block = block.reshape((r1 - r0 + 1,) + row)
+            for axis in range(1, len(padded)):
+                np.cumsum(block[1:], axis=axis, out=block[1:])
+            block[0] = carry
+            # numpy's cumsum along axis 0 is slow on long rows: adding them one by one took 0.89-0.95
+            # of its time on 2D k = 512 lattices of 4,096-46,656 points, 0.71-0.75 at k = 1024 (x86-64)
+            if row_cells >= 512:
+                for i in range(1, len(block)):
+                    block[i] += block[i - 1]
+            else:  # rows loop slower than the cumsum below about 300 cells (x86-64)
+                np.cumsum(block, axis=0, out=block)
         carry = block[-1].copy()  # a view would keep the whole block alive
         yield r0, block
 

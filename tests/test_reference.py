@@ -232,6 +232,64 @@ def test_finishing_batches_hold_at_most_the_cap(spec, n, k, monkeypatch):
     assert several >= 3
 
 
+def full_prefix_counts(index, shape):
+    """The closed counts of the whole padded grid, by ``np.add.at`` and one
+    cumsum per axis: entry i + 1 on axis j counts the points whose index is
+    at most i there."""
+    grid = np.zeros([m + 1 for m in shape], dtype=np.int64)
+    np.add.at(grid, tuple((index + 1).T), 1)
+    for axis in range(len(shape)):
+        grid = grid.cumsum(axis=axis)
+    return grid
+
+
+def blocks_by(suffix: bool, index, shape):
+    """Every ``(r0, block)`` of ``_prefix_counts``, each block built the dense
+    way or by suffix increments."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(discrepancy, "_sums_by_suffix", lambda index, shape: suffix)
+        return list(discrepancy._prefix_counts(index, shape))
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+def test_both_block_builders_yield_the_prefix_counts(block, monkeypatch):
+    """Random index arrays in d = 1..4, each axis drawing from a few values
+    that hold its first and last index, so points tie and rows stay empty:
+    both ways of building a block yield the same int64 blocks, and each is
+    its rows of the whole grid's prefix counts."""
+    if block is not None:
+        monkeypatch.setattr(discrepancy, "_BLOCK_CELLS", block)
+    rng = np.random.default_rng(block)
+    for d in (1, 2, 3, 4):
+        for _ in range(12):
+            shape = tuple(int(m) for m in rng.integers(1, 8, d))
+            pools = [np.unique(np.concatenate(([0, m - 1], rng.integers(0, m, 2)))) for m in shape]
+            n = int(rng.integers(1, 40))
+            index = np.stack([rng.choice(p, n) for p in pools], axis=1)
+            want = full_prefix_counts(index, shape)
+            dense, suffix = blocks_by(False, index, shape), blocks_by(True, index, shape)
+            assert [r0 for r0, _ in dense] == [r0 for r0, _ in suffix]
+            assert dense[0][0] == 0 and dense[-1][0] + len(dense[-1][1]) - 1 == shape[0]
+            for (r0, a), (_, b) in zip(dense, suffix):
+                assert a.dtype == b.dtype == np.int64
+                assert np.array_equal(a, b) and np.array_equal(a, want[r0:r0 + len(a)])
+
+
+@pytest.mark.parametrize("suffix", [False, True], ids=["dense-blocks", "suffix-blocks"])
+def test_reference_routes_on_each_block_builder(suffix, monkeypatch):
+    """The exact routes, the brackets and the finished brackets checked
+    above, with every block built one way."""
+    monkeypatch.setattr(discrepancy, "_sums_by_suffix", lambda index, shape: suffix)
+    for name in CASES:
+        for block in (None, 1, 7):
+            with pytest.MonkeyPatch.context() as patch:
+                test_exact_routes_match_the_reference(name, block, patch)
+        test_brackets_contain_the_reference(name)
+    for path in FINISH_PATHS:
+        with pytest.MonkeyPatch.context() as patch:
+            test_finished_brackets_match_the_reference(path, patch)
+
+
 def test_a_finished_bracket_matches_the_sweep_on_c1():
     """C1 at N = 7776 finishes at k = 512 (116,455 critical corners of the
     263,169 lattice corners survive) and equals the 0.65 s sweep."""
